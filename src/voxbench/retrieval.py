@@ -8,8 +8,11 @@ are not, so cosine scores from this module are only meaningful relative
 to each other, never against scores from a production embedder.
 
 Search is an exact flat scan: score every stored vector by inner product,
-sort by score descending, break ties by doc_id ascending. No approximate
-structure is involved, so results must equal a brute-force oracle.
+partition the scores to find the k-th best, keep every row scoring at
+least that much (so a tie group straddling the boundary survives whole),
+then sort only those rows by score descending, ties by doc_id ascending.
+No approximate structure is involved, so results must equal a
+brute-force oracle that sorts every score.
 
 Index cache file layout, little-endian, no padding:
 
@@ -23,7 +26,9 @@ version raises CacheVersionError so callers can rebuild from documents.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,6 +60,7 @@ class Document:
     text: str
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def _token_bucket(token: str, dim: int) -> int:
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little") % dim
@@ -160,13 +166,14 @@ def save_index(index: VectorIndex, path: str | Path) -> None:
     """Write the index cache; loading it back is bit-identical."""
     out = bytearray()
     out += _HEADER.pack(CACHE_MAGIC, CACHE_VERSION, index.dim, len(index))
-    for doc_id, vector in index.entries:
+    rows = index._matrix.astype("<f8", copy=False)
+    for row, doc_id in enumerate(index._ids):
         id_bytes = doc_id.encode("utf-8")
         text_bytes = index.document(doc_id).text.encode("utf-8")
         out += _U32.pack(len(id_bytes)) + id_bytes
         out += _U32.pack(len(text_bytes)) + text_bytes
-        out += struct.pack(f"<{index.dim}d", *vector.tolist())
-    Path(path).write_bytes(bytes(out))
+        out += rows[row].tobytes()
+    Path(path).write_bytes(out)
 
 
 def load_index(path: str | Path) -> VectorIndex:
@@ -213,8 +220,16 @@ def search(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[str, flo
     if len(index) == 0:
         return []
     scores = index._matrix @ q
-    ranked = sorted(zip(index._ids, scores.tolist()), key=lambda e: (-e[1], e[0]))
-    return [(doc_id, score) for doc_id, score in ranked[:k]]
+    ids = index._ids
+    if k < len(scores):
+        top = np.partition(scores, -k)[-k:].tolist()  # top[0] is the k-th best
+        # NaN compares false both ways, so it has no rank to cut at; only
+        # the full sort reproduces the brute-force order then.
+        if not any(map(math.isnan, top)):
+            rows = np.flatnonzero(scores >= top[0]).tolist()
+            ids, scores = [ids[r] for r in rows], scores[rows]
+    ranked = sorted(zip(ids, scores.tolist()), key=lambda e: (-e[1], e[0]))
+    return ranked[:k]
 
 
 def build_prompt(transcript: str, results: Sequence[tuple[str, float]],

@@ -96,14 +96,16 @@ def decode_frame(buffer: bytes | bytearray | memoryview) -> tuple[SentenceFrame,
     kind or an undecodable payload, and FrameVersionError on a version
     this decoder does not support.
     """
-    buf = bytes(buffer)
-    if len(buf) < HEADER_SIZE:
+    # Read the header in place and copy out only the payload, so decoding
+    # the next frame of a long stream never copies the rest of it.
+    if len(buffer) < HEADER_SIZE:
         # A short buffer whose bytes can still become a valid header is a
         # wait-for-more signal; a wrong magic prefix can never recover.
-        if MAGIC.startswith(buf[:4]):
-            raise IncompleteFrameError(f"need {HEADER_SIZE} header bytes, have {len(buf)}")
-        raise CorruptFrameError(f"bad magic {buf[:4]!r}")
-    magic, version, kind, index, emitted_us, length = _HEADER.unpack_from(buf)
+        head = bytes(buffer[:4])
+        if MAGIC.startswith(head):
+            raise IncompleteFrameError(f"need {HEADER_SIZE} header bytes, have {len(buffer)}")
+        raise CorruptFrameError(f"bad magic {head!r}")
+    magic, version, kind, index, emitted_us, length = _HEADER.unpack_from(buffer)
     if magic != MAGIC:
         raise CorruptFrameError(f"bad magic {magic!r}")
     if version != VERSION:
@@ -111,9 +113,9 @@ def decode_frame(buffer: bytes | bytearray | memoryview) -> tuple[SentenceFrame,
     if kind not in (KIND_SENTENCE, KIND_END):
         raise CorruptFrameError(f"unknown frame kind {kind}")
     end = HEADER_SIZE + length
-    if len(buf) < end:
-        raise IncompleteFrameError(f"need {end} bytes for payload, have {len(buf)}")
-    payload = buf[HEADER_SIZE:end]
+    if len(buffer) < end:
+        raise IncompleteFrameError(f"need {end} bytes for payload, have {len(buffer)}")
+    payload = bytes(buffer[HEADER_SIZE:end])
     if kind == KIND_END and payload:
         raise CorruptFrameError("end-of-stream frame must carry no payload")
     try:

@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import random
 import re
+import struct
 import threading
 import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
+from voxbench.retrieval import VectorIndex
 from voxbench.stages import StageClock
 from voxbench.types import StageTimings
 
@@ -105,6 +109,32 @@ def brute_force_topk(entries: list[tuple[str, list[float]]],
         scored.append((doc_id, score))
     scored.sort(key=lambda e: (-e[1], e[0]))
     return scored[:k]
+
+
+# Exact-ranking oracle: the same matrix product as ``search``, so scores
+# are bit-identical, but every score is sorted, with no partition step.
+
+def full_sort_topk(index: VectorIndex, query: np.ndarray,
+                   k: int) -> list[tuple[str, float]]:
+    """The same float scores as ``search``, ranked by sorting every one."""
+    matrix = np.array([vector for _, vector in index.entries])
+    scores = (matrix @ query).tolist()
+    return sorted(zip(index.doc_ids, scores), key=lambda e: (-e[1], e[0]))[:k]
+
+
+# ---------------------------------------------------------------------------
+# Index cache oracle: the documented layout written field by field, one
+# struct.pack per vector.
+
+def reference_cache_bytes(index: VectorIndex) -> bytes:
+    parts = [struct.pack("<4sHII", b"TVIX", 1, index.dim, len(index))]
+    for doc_id, vector in index.entries:
+        id_bytes = doc_id.encode("utf-8")
+        text_bytes = index.document(doc_id).text.encode("utf-8")
+        parts.append(struct.pack("<I", len(id_bytes)) + id_bytes)
+        parts.append(struct.pack("<I", len(text_bytes)) + text_bytes)
+        parts.append(struct.pack(f"<{index.dim}d", *vector.tolist()))
+    return b"".join(parts)
 
 
 # ---------------------------------------------------------------------------

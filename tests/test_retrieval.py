@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voxbench.errors import (
     CacheFormatError,
@@ -27,7 +28,7 @@ from voxbench.retrieval import (
     search,
 )
 
-from .support import brute_force_topk
+from .support import brute_force_topk, full_sort_topk, reference_cache_bytes
 
 # Bucket positions frozen from hashlib.blake2b(token, digest_size=8)
 # little-endian mod dim, computed outside the package code.
@@ -221,6 +222,14 @@ class TestCacheFile:
         with pytest.raises(CacheFormatError, match="trailing"):
             load_index(path)
 
+    def test_file_matches_the_reference_writer(self, small_index, tmp_path):
+        unicode_index = VectorIndex.from_documents(
+            [Document("café-✅", "text with 你好 tokens"), Document("b", "")], 16)
+        for index in (small_index, unicode_index):
+            path = tmp_path / "cache.tvix"
+            save_index(index, path)
+            assert path.read_bytes() == reference_cache_bytes(index)
+
     def test_magic_constant(self):
         assert CACHE_MAGIC == b"TVIX"
 
@@ -248,6 +257,60 @@ class TestSearch:
         results = search(index, embed("same words here", 32), 2)
         assert [d for d, _ in results] == ["a-dup", "z-dup"]
         assert results[0][1] == pytest.approx(results[1][1], abs=1e-12)
+
+    def test_tie_group_straddling_the_boundary_keeps_doc_id_order(self):
+        # Six bit-identical embeddings, stored in reverse doc_id order, with
+        # one better and one worse document around them.
+        twins = [Document(f"twin-{c}", "signal route packet") for c in "fedcba"]
+        docs = twins + [Document("best", "signal route packet signal"),
+                        Document("worst", "billing roaming")]
+        index = VectorIndex.from_documents(docs, 64)
+        query = embed("signal route packet signal", 64)
+        for k in range(1, len(docs) + 2):
+            got = search(index, query, k)
+            assert got == full_sort_topk(index, query, k)
+            assert [d for d, _ in got] == (["best"] + [f"twin-{c}" for c in "abcdef"]
+                                           + ["worst"])[:k]
+
+    def test_nan_scores_rank_like_the_full_sort(self, small_index):
+        def exact(results):  # repr, since nan != nan
+            return [(doc_id, repr(score)) for doc_id, score in results]
+
+        query = embed("signal route", small_index.dim)
+        query[3] = np.nan
+        for k in (1, 3, len(small_index)):
+            assert exact(search(small_index, query, k)) == exact(
+                full_sort_topk(small_index, query, k))
+        nan_row = np.full(8, np.nan)
+        docs = {d: Document(d, d) for d in ("a", "b", "c", "d")}
+        entries = [("c", embed("c", 8)), ("a", nan_row), ("d", embed("d", 8)),
+                   ("b", embed("c", 8))]
+        index = VectorIndex(8, entries, docs)
+        query = embed("c", 8)
+        for k in (1, 2, 3):
+            assert exact(search(index, query, k)) == exact(full_sort_topk(index, query, k))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(50, 3000), distinct=st.integers(1, 60),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_hypothesis_equals_a_full_sort(self, n, distinct, seed, data):
+        """Few distinct texts over many docs make every score a large tie
+        group, so the k-th boundary usually cuts through one."""
+        dim = 32
+        rng = random.Random(seed)
+        vocab = [f"term{i}" for i in range(30)]
+        texts = [" ".join(rng.choices(vocab, k=rng.randint(1, 8))) for _ in range(distinct)]
+        ids = [f"doc{i:04d}" for i in range(n)]
+        rng.shuffle(ids)
+        index = VectorIndex.from_documents(
+            [Document(doc_id, rng.choice(texts)) for doc_id in ids], dim)
+        qtext = data.draw(st.sampled_from(texts)
+                          | st.lists(st.sampled_from(vocab), max_size=8).map(" ".join))
+        query = embed(qtext, dim)
+        k = data.draw(st.integers(1, n + 1))
+        got = search(index, query, k)
+        assert got == full_sort_topk(index, query, k)
+        assert all(type(score) is float for _, score in got)
 
     def test_k_larger_than_index_returns_everything(self, small_index):
         results = search(small_index, embed("signal", small_index.dim), 999)
