@@ -8,22 +8,21 @@ Schedule for one utterance:
 3. Start the synthesis consumer FIRST. It warms the synthesizer, then
    polls the bounded sentence channel; each received frame is decoded and
    synthesized, and an end-of-stream frame finishes the run.
-4. Once warmup has completed, mark the generation epoch and produce on
-   the calling thread: fabricate the reply, stream it through the
-   sentence segmenter, encode each completed sentence as a frame, enqueue
-   it, then flush and enqueue exactly one end-of-stream frame.
-5. Join the consumer and assemble the timing record.
+4. Once warmup has completed, mark the generation epoch and release the
+   token producer: fabricate the reply, stream it through the sentence
+   segmenter, encode each completed sentence as a frame, enqueue it, then
+   flush and enqueue exactly one end-of-stream frame.
+5. Join both workers and assemble the timing record.
 
 The consumer starts before the producer, so the first sentence is
 synthesized the moment it is emitted and synthesis of sentence i overlaps
-generation of sentences i+1 and later. On failure on either side a
+generation of sentences i+1 and later. On failure in either worker a
 shared cancellation flag stops the other side within one token interval
 or one poll interval; the run is marked failed, never wedged.
 """
 
 from __future__ import annotations
 
-import gc
 import math
 import queue
 import random
@@ -113,7 +112,7 @@ class UtteranceResult:
 
 @dataclass
 class _RunState:
-    """Mutable scratch shared by the producing thread and the consumer."""
+    """Mutable scratch shared by the coordinator and its two workers."""
 
     sentences: list[Sentence] = field(default_factory=list)
     segments: list[AudioSegment] = field(default_factory=list)
@@ -145,22 +144,7 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
     problems = utterance_violations(utterance)
     if problems:
         raise ValueError(f"invalid utterance {utterance.id!r}: " + "; ".join(problems))
-    # A garbage collection stops every thread for milliseconds, which at
-    # small time scales reads as tens of modeled milliseconds charged to
-    # whichever stage was running. Like ``timeit``, hold automatic
-    # collection off while the run is timed; the deferred collection then
-    # happens at the caller's next allocation.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _run_valid_utterance(utterance, config, index, stages)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
-
-def _run_valid_utterance(utterance: UtteranceRecord, config: PipelineConfig,
-                         index: VectorIndex, stages: StageSet) -> UtteranceResult:
     clock = stages.clock
     scale = clock.time_scale
     run_start = clock.now()
@@ -195,6 +179,7 @@ def _run_valid_utterance(utterance: UtteranceRecord, config: PipelineConfig,
                               config.queue_poll_timeout_s * scale)
     cancel = threading.Event()
     warmup_done = threading.Event()
+    start_generation = threading.Event()
 
     def llm_elapsed() -> float:
         return (clock.now() - state.epoch_real) / scale
@@ -225,6 +210,8 @@ def _run_valid_utterance(utterance: UtteranceRecord, config: PipelineConfig,
 
     def produce() -> None:
         try:
+            if not start_generation.wait(timeout=_JOIN_GRACE_S):
+                raise TimeoutError("generation was never released")
             if cancel.is_set():
                 return
             response = make_response(prompt, retrieved, index, config.response_sentences)
@@ -256,18 +243,21 @@ def _run_valid_utterance(utterance: UtteranceRecord, config: PipelineConfig,
             cancel.set()
 
     consumer = threading.Thread(target=consume, name=f"tts-{utterance.id}")
+    producer = threading.Thread(target=produce, name=f"llm-{utterance.id}")
     # 3. Consumer first: warmup must complete before the generation epoch.
     consumer.start()
-    if not warmup_done.wait(timeout=_JOIN_GRACE_S):
-        state.failures.append(("tts", "warmup did not finish in time"))
-        cancel.set()
+    producer.start()
+    warmup_done.wait(timeout=_JOIN_GRACE_S)
 
-    # 4. Mark the epoch and generate on this thread, so no wake-up stands
-    # between the epoch and the first token.
+    # 4. Mark the epoch, release the producer.
     state.epoch_real = clock.now()
     state.llm_epoch_at_s = run_elapsed()
-    produce()
+    start_generation.set()
 
+    producer.join(timeout=_JOIN_GRACE_S)
+    if producer.is_alive():
+        state.failures.append(("llm", "producer did not finish in time"))
+        cancel.set()
     consumer.join(timeout=_JOIN_GRACE_S)
     if consumer.is_alive():
         state.failures.append(("tts", "consumer did not finish in time"))

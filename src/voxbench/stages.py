@@ -29,9 +29,7 @@ from .types import AudioSegment, Sentence, Transcript, UtteranceRecord, word_cou
 # Tail of every sleep handled by a yield-spin so a sleep's overshoot stays
 # in the tens of microseconds even at small time scales, where the OS
 # timer's ~0.1 ms slack would otherwise dominate the modeled delay.
-_SPIN_S = 0.0004
-# Guess at one ``time.sleep(0)`` step before the first one is measured.
-_FIRST_STEP_S = 0.0001
+_SPIN_S = 0.0008
 
 # Words in the lead sentence of a fabricated reply. Together with the
 # 12-word follow-up windows this keeps the default two-sentence reply at
@@ -85,33 +83,24 @@ class StageClock:
             return 1.0
         return self.rng.uniform(1.0 - jitter_frac, 1.0 + jitter_frac)
 
-    def sleep_until(self, deadline: float, exact: bool = False) -> None:
-        """Sleep until ``deadline`` on the real clock, with a spin tail.
-
-        The tail yields in ``time.sleep(0)`` steps, which release the GIL
-        but pay the OS timer slack (~50 us), so it may end up to one step
-        late. With ``exact`` a step that would overrun the deadline is
-        busy-waited instead, holding the GIL for at most that step.
-        """
-        remaining = deadline - time.perf_counter()
-        if remaining > _SPIN_S:
-            time.sleep(remaining - _SPIN_S)
-        step = _FIRST_STEP_S if exact else 0.0
+    def sleep_until(self, deadline: float) -> None:
+        """Sleep until ``deadline`` on the real clock, with a spin tail."""
         while True:
-            before = time.perf_counter()
-            if deadline - before <= step:
-                break
-            time.sleep(0)
-            if exact:
-                step = time.perf_counter() - before
-        while time.perf_counter() < deadline:
-            pass
+            remaining = deadline - time.perf_counter()
+            if remaining <= 0.0:
+                return
+            if remaining > _SPIN_S:
+                time.sleep(remaining - _SPIN_S)
+            else:
+                while time.perf_counter() < deadline:
+                    time.sleep(0)
+                return
 
     def pause(self, seconds: float) -> float:
         """Block for ``seconds`` of modeled time; return the measured
         elapsed time, unscaled, which is what gets reported."""
         start = time.perf_counter()
-        self.sleep_until(start + max(seconds, 0.0) * self.time_scale, exact=True)
+        self.sleep_until(start + max(seconds, 0.0) * self.time_scale)
         return (time.perf_counter() - start) / self.time_scale
 
 

@@ -1,6 +1,5 @@
 """Producer/consumer orchestration: ordering, failure paths, determinism."""
 
-import gc
 import math
 import threading
 from dataclasses import replace
@@ -142,29 +141,6 @@ class TestRunUtteranceHappyPath:
                                fresh_stages(config))
         assert [s.index for s in result.sentences] == list(range(8))
         assert [g.sentence_index for g in result.segments] == list(range(8))
-
-    def test_collection_is_held_off_only_while_timed(self, fast_config, fast_index):
-        stages = fresh_stages(fast_config)
-        inner = stages.asr
-        seen = []
-
-        class ProbeAsr:
-            def transcribe(self, utt):
-                seen.append(gc.isenabled())
-                return inner.transcribe(utt)
-
-        stages.asr = ProbeAsr()
-        assert gc.isenabled()
-        assert not run_utterance(utterance(), fast_config, fast_index, stages).failed
-        assert seen == [False]
-        assert gc.isenabled()
-        gc.disable()
-        try:
-            run_utterance(utterance(), fast_config, fast_index,
-                          fresh_stages(fast_config))
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
 
     def test_invalid_utterance_raises(self, fast_config, fast_index):
         bad = UtteranceRecord("u", -1.0, "text")
