@@ -91,8 +91,11 @@ def load_manifest(path: str | Path) -> list[UtteranceRecord]:
     return records
 
 
-def _question_words(text: str, rng: random.Random) -> list[str]:
-    words = [w for w in (_WORD_ONLY.sub("", t) for t in text.lower().split()) if w]
+def _words(text: str) -> list[str]:
+    return [w for w in (_WORD_ONLY.sub("", t) for t in text.lower().split()) if w]
+
+
+def _question_words(words: list[str], rng: random.Random) -> list[str]:
     if not words:
         return ["this", "topic"]
     return [rng.choice(words) for _ in range(_QUESTION_WORDS)]
@@ -117,11 +120,16 @@ def synthesize_manifest(count: int, mean_duration_s: float,
     mu = math.log(mean_duration_s) - DURATION_SIGMA ** 2 / 2.0
     width = len(str(count - 1))
     records: list[UtteranceRecord] = []
+    # Each document is tokenized on first use only: a small corpus is
+    # drawn from hundreds of times, a large one mostly once per document.
+    words: dict[str, list[str]] = {}
     for i in range(count):
         doc = docs[rng.randrange(len(docs))]
         duration = min(max(rng.lognormvariate(mu, DURATION_SIGMA), DURATION_MIN_S),
                        DURATION_MAX_S)
-        sampled = " ".join(_question_words(doc.text, rng))
+        if doc.doc_id not in words:
+            words[doc.doc_id] = _words(doc.text)
+        sampled = " ".join(_question_words(words[doc.doc_id], rng))
         transcript = (f"Regarding {doc.doc_id}, can you explain how "
                       f"{sampled} should be handled?")
         records.append(UtteranceRecord(

@@ -1,5 +1,6 @@
 """Manifest file format and synthetic dataset generation."""
 
+import hashlib
 import json
 import math
 import statistics
@@ -157,6 +158,14 @@ class TestSynthesize:
         path = tmp_path / "synth.jsonl"
         write_manifest(records, path)
         assert load_manifest(path) == records
+
+    def test_output_is_pinned(self, docs_dir, tmp_path):
+        # Digest of the manifest as generated when every draw re-tokenized
+        # its document; tokenizing each document once must not change it.
+        path = tmp_path / "pinned.jsonl"
+        write_manifest(synthesize_manifest(400, 6.36, docs_dir, seed=5), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "6a42a9d37347b3de57a256b1802be71c9c88692deba423be67c201cbb4830c3f")
 
     def test_input_validation(self, docs_dir):
         with pytest.raises(ValueError):
