@@ -74,7 +74,3 @@ class FrameTooLargeError(VoxbenchError):
 
 class GenerationAbortedError(VoxbenchError):
     """Token generation stopped early because the sink rejected an event."""
-
-
-class TranscriptionError(VoxbenchError):
-    """Reserved for real ASR adapters; the simulator never raises it."""

@@ -5,20 +5,24 @@ Schedule for one utterance:
 1. Transcribe the full utterance up front (serial).
 2. Embed the transcript, search the index, assemble the prompt. The
    retrieval backend's modeled latency is paid here too.
-3. Start the synthesis consumer FIRST. It warms the synthesizer, then
-   polls the bounded sentence channel; each received frame is decoded and
-   synthesized, and an end-of-stream frame finishes the run.
-4. Once warmup has completed, mark the generation epoch and release the
-   token producer: fabricate the reply, stream it through the sentence
+3. Start the synthesis consumer, the run's one worker thread. It warms
+   the synthesizer, then polls the bounded sentence channel; each frame is
+   decoded and synthesized, and an end-of-stream frame finishes the run.
+4. Once warmup has completed, mark the generation epoch and generate on
+   the calling thread: fabricate the reply, stream it through the sentence
    segmenter, encode each completed sentence as a frame, enqueue it, then
    flush and enqueue exactly one end-of-stream frame.
-5. Join both workers and assemble the timing record.
+5. Join the consumer and assemble the timing record.
 
-The consumer starts before the producer, so the first sentence is
+The consumer starts before generation, so the first sentence is
 synthesized the moment it is emitted and synthesis of sentence i overlaps
-generation of sentences i+1 and later. On failure in either worker a
-shared cancellation flag stops the other side within one token interval
-or one poll interval; the run is marked failed, never wedged.
+generation of sentences i+1 and later. On failure in either side a shared
+cancellation flag stops the other within one token interval or one poll
+interval, and the run is marked failed. Every wait is bounded by
+``_JOIN_GRACE_S``: the warmup, the consumer join, and generation from the
+epoch, where a ``put`` still blocked on a full channel or a token arriving
+after that deadline fails the run. A ``generate`` call that never returns
+is not bounded.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ from .types import (
 )
 from .wire import KIND_END, decode_frame, encode_end, encode_frame, frame_to_sentence
 
-# Real-seconds safety margin for joins and waits; generous so slow CI
-# machines fail loudly by timeout only when something is actually wedged.
+# Real-seconds bound on each wait of a run; generous so slow CI machines
+# fail loudly by timeout only when something is actually wedged.
 _JOIN_GRACE_S = 60.0
 
 
@@ -82,9 +86,6 @@ class SentenceChannel:
         except queue.Empty:
             return None
 
-    def pending(self) -> int:
-        return self._queue.qsize()
-
 
 @dataclass(frozen=True)
 class UtteranceResult:
@@ -112,7 +113,7 @@ class UtteranceResult:
 
 @dataclass
 class _RunState:
-    """Mutable scratch shared by the coordinator and its two workers."""
+    """Mutable scratch shared by the coordinator and its worker."""
 
     sentences: list[Sentence] = field(default_factory=list)
     segments: list[AudioSegment] = field(default_factory=list)
@@ -179,7 +180,6 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
                               config.queue_poll_timeout_s * scale)
     cancel = threading.Event()
     warmup_done = threading.Event()
-    start_generation = threading.Event()
 
     def llm_elapsed() -> float:
         return (clock.now() - state.epoch_real) / scale
@@ -209,23 +209,24 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
             warmup_done.set()  # never leave the coordinator waiting
 
     def produce() -> None:
+        deadline = state.epoch_real + _JOIN_GRACE_S
+
+        def stop() -> bool:
+            return cancel.is_set() or clock.now() > deadline
+
         try:
-            if not start_generation.wait(timeout=_JOIN_GRACE_S):
-                raise TimeoutError("generation was never released")
-            if cancel.is_set():
-                return
             response = make_response(prompt, retrieved, index, config.response_sentences)
             state.response = response
-            segmenter = SentenceSegmenter(epoch=0.0)
+            segmenter = SentenceSegmenter()
 
             def ship(sentence: Sentence) -> None:
                 state.sentences.append(sentence)
-                if not channel.put(encode_frame(sentence), cancel.is_set):
-                    raise GenerationAbortedError("cancelled while channel was full")
+                if not channel.put(encode_frame(sentence), stop):
+                    raise GenerationAbortedError("channel still full at cancel or deadline")
 
             def sink(event: TokenEvent) -> None:
-                if cancel.is_set():
-                    raise GenerationAbortedError("consumer cancelled generation")
+                if stop():
+                    raise GenerationAbortedError("token after cancel or deadline")
                 for sentence in segmenter.feed(event.text, llm_elapsed()):
                     ship(sentence)
 
@@ -233,7 +234,7 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
             tail = segmenter.flush(llm_elapsed())
             if tail is not None:
                 ship(tail)
-            if channel.put(encode_end(segmenter.next_index, llm_elapsed()), cancel.is_set):
+            if channel.put(encode_end(segmenter.next_index, llm_elapsed()), stop):
                 state.eos_sent += 1
             state.token_count = summary.token_count
             state.llm_elapsed_s = summary.llm_elapsed_s
@@ -242,26 +243,22 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
             state.failures.append(("llm", str(exc)))
             cancel.set()
 
-    consumer = threading.Thread(target=consume, name=f"tts-{utterance.id}")
-    producer = threading.Thread(target=produce, name=f"llm-{utterance.id}")
     # 3. Consumer first: warmup must complete before the generation epoch.
+    consumer = threading.Thread(target=consume, name=f"tts-{utterance.id}")
     consumer.start()
-    producer.start()
-    warmup_done.wait(timeout=_JOIN_GRACE_S)
-
-    # 4. Mark the epoch, release the producer.
-    state.epoch_real = clock.now()
-    state.llm_epoch_at_s = run_elapsed()
-    start_generation.set()
-
-    producer.join(timeout=_JOIN_GRACE_S)
-    if producer.is_alive():
-        state.failures.append(("llm", "producer did not finish in time"))
+    if not warmup_done.wait(timeout=_JOIN_GRACE_S):
+        state.failures.append(("tts", "warmup did not finish in time"))
         cancel.set()
-    consumer.join(timeout=_JOIN_GRACE_S)
-    if consumer.is_alive():
-        state.failures.append(("tts", "consumer did not finish in time"))
-        cancel.set()
+    else:
+        # 4. Mark the epoch and generate on this thread.
+        if not cancel.is_set():
+            state.epoch_real = clock.now()
+            state.llm_epoch_at_s = run_elapsed()
+            produce()
+        consumer.join(timeout=_JOIN_GRACE_S)
+        if consumer.is_alive():
+            state.failures.append(("tts", "consumer did not finish in time"))
+            cancel.set()
 
     if state.failures:
         return _failed_result(utterance, state, run_elapsed(),

@@ -29,13 +29,13 @@ class SentenceSegmenter:
 
     The segmenter also tracks first-token time for latency accounting:
     the timestamp of the first non-empty chunk ever fed is remembered and
-    ``ttft()`` reports it relative to the construction-time epoch.
+    ``ttft()`` reports it. Every timestamp is the caller's ``now_s``,
+    unchanged.
 
     Not thread-safe; each generation run owns exactly one instance.
     """
 
-    def __init__(self, epoch: float = 0.0) -> None:
-        self.epoch = epoch
+    def __init__(self) -> None:
         self._buffer = ""
         self._next_index = 0
         self._first_token_time: float | None = None
@@ -51,10 +51,8 @@ class SentenceSegmenter:
         return self._next_index
 
     def ttft(self) -> float | None:
-        """Seconds from epoch to the first non-empty chunk, or None."""
-        if self._first_token_time is None:
-            return None
-        return self._first_token_time - self.epoch
+        """Feed time of the first non-empty chunk, or None."""
+        return self._first_token_time
 
     def feed(self, chunk: str, now_s: float) -> list[Sentence]:
         """Append ``chunk`` and return every sentence completed by it.
@@ -76,7 +74,7 @@ class SentenceSegmenter:
         self._scan_pos = 0
         if not text:
             return None
-        sentence = Sentence(self._next_index, text, now_s - self.epoch)
+        sentence = Sentence(self._next_index, text, now_s)
         self._next_index += 1
         return sentence
 
@@ -111,7 +109,7 @@ class SentenceSegmenter:
             text = buf[a:b].strip()
             if not text:
                 continue  # whitespace-only span, dropped without an index
-            emitted.append(Sentence(self._next_index, text, now_s - self.epoch))
+            emitted.append(Sentence(self._next_index, text, now_s))
             self._next_index += 1
 
         if spans:

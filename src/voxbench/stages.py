@@ -15,11 +15,12 @@ bundled here.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 import time
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Protocol, Sequence
 
 from .config import PipelineConfig
 from .errors import GenerationAbortedError
@@ -172,7 +173,6 @@ class SimulatedTts:
         self._config = config
         self._clock = clock
         self._warmed = False
-        self._anchor = clock.now()
 
     def warmup(self) -> float:
         """Synthesize a throwaway sentence; return its elapsed seconds."""
@@ -182,8 +182,8 @@ class SimulatedTts:
     def synthesize(self, sentence: Sentence) -> AudioSegment:
         """Block as if synthesizing ``sentence``; return its segment.
 
-        ``completed_at_s`` is relative to this stage's construction; the
-        orchestrator restamps it against the generation epoch.
+        ``completed_at_s`` is NaN: only the orchestrator knows the
+        generation epoch, so it stamps the finish time.
         """
         if not sentence.text.strip():
             raise ValueError("cannot synthesize an empty sentence")
@@ -197,11 +197,10 @@ class SimulatedTts:
             target *= COLD_START_MULTIPLIER
             self._warmed = True
         elapsed = self._clock.pause(target)
-        completed = (self._clock.now() - self._anchor) / self._clock.time_scale
         return AudioSegment(sentence_index=sentence_index,
                             synthesized_duration_s=duration,
                             synth_elapsed_s=elapsed,
-                            completed_at_s=completed)
+                            completed_at_s=math.nan)
 
 
 def _clean_words(text: str) -> list[str]:
@@ -249,14 +248,12 @@ def make_response(prompt: str, results: Sequence[tuple[str, float]],
     return " ".join(sentences)
 
 
-@runtime_checkable
 class AsrStage(Protocol):
     """Transcription adapter interface (real adapters plug in here)."""
 
     def transcribe(self, utterance: UtteranceRecord) -> Transcript: ...
 
 
-@runtime_checkable
 class LlmStage(Protocol):
     """Generation adapter interface. ``response`` is the text to stream;
     a real adapter is free to ignore it and generate from the prompt."""
@@ -265,7 +262,6 @@ class LlmStage(Protocol):
                  sink: Callable[[TokenEvent], None]) -> GenerationSummary: ...
 
 
-@runtime_checkable
 class TtsStage(Protocol):
     """Synthesis adapter interface."""
 

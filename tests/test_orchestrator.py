@@ -2,18 +2,35 @@
 
 import math
 import threading
+import time
 from dataclasses import replace
 
 import pytest
 
+from voxbench import orchestrator
 from voxbench.config import PipelineConfig
 from voxbench.orchestrator import (
     SentenceChannel,
     run_dataset,
     run_utterance,
 )
-from voxbench.stages import StageSet, build_simulated_stages
-from voxbench.types import UtteranceRecord, timings_violations
+from voxbench.stages import (
+    GenerationSummary,
+    StageSet,
+    TokenEvent,
+    build_simulated_stages,
+)
+from voxbench.types import AudioSegment, UtteranceRecord, timings_violations
+
+
+@pytest.fixture(autouse=True)
+def no_worker_thread_outlives_the_test():
+    """A leaked non-daemon worker thread keeps the interpreter from exiting."""
+    yield
+    for thread in threading.enumerate():
+        if thread.name.startswith(("tts-", "llm-")):
+            thread.join(timeout=1.0)
+            assert not thread.is_alive(), f"worker thread {thread.name} leaked"
 
 
 def utterance(i=0, duration=4.0):
@@ -37,7 +54,6 @@ class TestSentenceChannel:
         never = threading.Event()
         assert channel.put(b"one", never.is_set)
         assert channel.put(b"two", never.is_set)
-        assert channel.pending() == 2
         assert channel.poll() == b"one"
         assert channel.poll() == b"two"
 
@@ -237,6 +253,88 @@ class TestFailurePaths:
         run_utterance(utterance(), fast_config, fast_index,
                       self.broken_stages(fast_config))
         assert time.perf_counter() - start < 10.0
+
+
+class _GatedTts:
+    """Synthesizer that blocks in ``stage`` ("warmup" or "synthesize")
+    until ``gate`` is set."""
+
+    def __init__(self, gate, stage):
+        self.gate = gate
+        self.stage = stage
+
+    def warmup(self):
+        if self.stage == "warmup":
+            self.gate.wait(timeout=10.0)
+        return 0.0
+
+    def synthesize(self, sentence):
+        if self.stage == "synthesize":
+            self.gate.wait(timeout=10.0)
+        return AudioSegment(sentence.index, 1.0, 0.0, math.nan)
+
+
+class _LateLlm:
+    """Streams one token, then a second one ``pause_s`` real seconds later."""
+
+    def __init__(self, pause_s):
+        self.pause_s = pause_s
+
+    def generate(self, prompt, response, sink):
+        sink(TokenEvent("Early ", 0.0))
+        time.sleep(self.pause_s)
+        sink(TokenEvent("late. ", self.pause_s))
+        return GenerationSummary(token_count=2, llm_elapsed_s=self.pause_s)
+
+
+class TestBoundedWaits:
+    GRACE_S = 0.2
+
+    @pytest.fixture(autouse=True)
+    def short_grace(self, monkeypatch):
+        monkeypatch.setattr(orchestrator, "_JOIN_GRACE_S", self.GRACE_S)
+
+    def stages(self, config, tts=None, llm=None):
+        stages = build_simulated_stages(config, seed=3)
+        return StageSet(asr=stages.asr, llm=llm or stages.llm,
+                        tts=tts or stages.tts, clock=stages.clock)
+
+    def test_warmup_timeout_fails_before_the_epoch(self, fast_config, fast_index):
+        gate = threading.Event()
+        try:
+            result = run_utterance(utterance(), fast_config, fast_index,
+                                   self.stages(fast_config,
+                                               tts=_GatedTts(gate, "warmup")))
+        finally:
+            gate.set()
+        assert result.failed
+        assert "tts: warmup did not finish in time" in result.error
+        assert result.sentences == ()
+        assert result.response == ""
+        assert math.isnan(result.llm_epoch_at_s)
+
+    def test_synthesizer_blocking_a_full_channel_fails_the_run(self, fast_config,
+                                                                fast_index):
+        config = replace(fast_config, queue_capacity=1, response_sentences=4)
+        gate = threading.Event()
+        start = time.perf_counter()
+        try:
+            result = run_utterance(utterance(), config, fast_index,
+                                   self.stages(config,
+                                               tts=_GatedTts(gate, "synthesize")))
+        finally:
+            gate.set()
+        assert time.perf_counter() - start < 5.0
+        assert result.failed
+        assert "llm: " in result.error
+        assert "tts: " in result.error
+
+    def test_token_after_the_deadline_fails_the_run(self, fast_config, fast_index):
+        llm = _LateLlm(pause_s=self.GRACE_S * 1.5)
+        result = run_utterance(utterance(), fast_config, fast_index,
+                               self.stages(fast_config, llm=llm))
+        assert result.failed
+        assert "llm: " in result.error
 
 
 class TestRunDataset:

@@ -80,17 +80,17 @@ class TestBookkeeping:
         assert tail is None
 
     def test_emission_timestamps_use_the_feed_time(self):
-        seg = SentenceSegmenter(epoch=10.0)
-        sentences = seg.feed("A done. B done. ", 10.75)
+        seg = SentenceSegmenter()
+        sentences = seg.feed("A done. B done. ", 0.75)
         assert all(s.emitted_at_s == 0.75 for s in sentences)
 
     def test_ttft_is_first_nonempty_chunk_relative_to_epoch(self):
-        seg = SentenceSegmenter(epoch=10.0)
+        seg = SentenceSegmenter()
         assert seg.ttft() is None
-        seg.feed("", 10.0625)
+        seg.feed("", 0.0625)
         assert seg.ttft() is None  # empty chunks never count as a token
-        seg.feed("Hel", 10.25)
-        seg.feed("lo. ", 10.5)
+        seg.feed("Hel", 0.25)
+        seg.feed("lo. ", 0.5)
         assert seg.ttft() == 0.25
 
 
