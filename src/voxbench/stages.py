@@ -16,6 +16,7 @@ bundled here.
 from __future__ import annotations
 
 import math
+import os
 import random
 import re
 import time
@@ -27,10 +28,13 @@ from .errors import GenerationAbortedError
 from .retrieval import VectorIndex
 from .types import AudioSegment, Sentence, Transcript, UtteranceRecord, word_count
 
-# Tail of every sleep handled by a yield-spin so a sleep's overshoot stays
-# in the tens of microseconds even at small time scales, where the OS
-# timer's ~0.1 ms slack would otherwise dominate the modeled delay.
+# Tail of every sleep handled by sleep(0) steps so a sleep's overshoot
+# stays in the tens of microseconds even at small time scales, where the
+# OS timer's ~0.1 ms slack would otherwise dominate the modeled delay.
 _SPIN_S = 0.0008
+# One sleep(0) step, which pays Linux's default 50 us timer slack.
+_STEP_S = 0.00006
+_yield = getattr(os, "sched_yield", lambda: time.sleep(0))  # none on Windows
 
 # Words in the lead sentence of a fabricated reply. Together with the
 # 12-word follow-up windows this keeps the default two-sentence reply at
@@ -99,9 +103,13 @@ class StageClock:
 
     def pause(self, seconds: float) -> float:
         """Block for ``seconds`` of modeled time; return the measured
-        elapsed time, unscaled, which is what gets reported."""
+        elapsed time, unscaled, which is what gets reported. The last
+        step yields, so the overshoot is ~1 us, not up to one step."""
         start = time.perf_counter()
-        self.sleep_until(start + max(seconds, 0.0) * self.time_scale)
+        deadline = start + max(seconds, 0.0) * self.time_scale
+        self.sleep_until(deadline - _STEP_S)
+        while time.perf_counter() < deadline:
+            _yield()  # releases the GIL, unlike a bare busy loop
         return (time.perf_counter() - start) / self.time_scale
 
 

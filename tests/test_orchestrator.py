@@ -142,6 +142,22 @@ class TestRunUtteranceHappyPath:
         assert t.llm_tokens_per_sec_obs == pytest.approx(
             fast_config.llm_tokens_per_sec, rel=0.5)
 
+    def test_reply_fabrication_stays_out_of_the_first_token_time(
+            self, fast_config, fast_index, monkeypatch):
+        # The reply is fabricated during warmup, before the epoch, so even
+        # 30 ms of real fabrication (3 s modeled here) adds nothing to TTFT.
+        real_make_response = orchestrator.make_response
+
+        def slow_make_response(*args):
+            time.sleep(0.03)
+            return real_make_response(*args)
+
+        monkeypatch.setattr(orchestrator, "make_response", slow_make_response)
+        result = run_utterance(utterance(), fast_config, fast_index,
+                               fresh_stages(fast_config))
+        assert not result.failed, result.error
+        assert fast_config.llm_ttft_s <= result.timings.ttft_s < 1.0
+
     def test_synthesis_overlaps_generation(self, fast_index):
         config = PipelineConfig(embed_dim=64, time_scale=0.02,
                                 response_sentences=5)
