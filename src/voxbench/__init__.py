@@ -36,7 +36,6 @@ from .metrics import (
     words_per_sec,
 )
 from .orchestrator import (
-    SentenceChannel,
     UtteranceResult,
     run_dataset,
     run_utterance,
@@ -85,7 +84,6 @@ __all__ = [
     "PipelineConfig",
     "RunSummary",
     "Sentence",
-    "SentenceChannel",
     "SentenceFrame",
     "SentenceSegmenter",
     "SimulatedAsr",

@@ -41,8 +41,6 @@ class PipelineConfig:
         tts_rtf: Synthesis time per second of produced audio.
         speaking_rate_wps: Words per second of produced speech; converts
             sentence length to audio duration.
-        queue_poll_timeout_s: Consumer poll interval on the sentence
-            channel. A timeout is a retry, not a failure.
         queue_capacity: Bounded channel size in frames.
         retrieval_k: Documents returned per query.
         embed_dim: Dimensionality of the hashing embedder.
@@ -63,7 +61,6 @@ class PipelineConfig:
     llm_tokens_per_sec: int = 80
     tts_rtf: float = 0.0159
     speaking_rate_wps: float = 2.5
-    queue_poll_timeout_s: float = 0.05
     queue_capacity: int = 64
     retrieval_k: int = 3
     embed_dim: int = 256
@@ -77,9 +74,8 @@ class PipelineConfig:
         problems: list[str] = []
         positive = (
             "asr_rtf", "rag_latency_s", "llm_ttft_s", "llm_tokens_per_sec",
-            "tts_rtf", "speaking_rate_wps", "queue_poll_timeout_s",
-            "queue_capacity", "retrieval_k", "embed_dim",
-            "response_sentences", "time_scale",
+            "tts_rtf", "speaking_rate_wps", "queue_capacity",
+            "retrieval_k", "embed_dim", "response_sentences", "time_scale",
         )
         for name in positive:
             value = getattr(self, name)

@@ -6,24 +6,30 @@ Schedule for one utterance:
 2. Embed the transcript, search the index, assemble the prompt. The
    retrieval backend's modeled latency is paid here too.
 3. Start the synthesis consumer, the run's one worker thread. It warms
-   the synthesizer, then polls the bounded sentence channel; each frame is
-   decoded and synthesized, and an end-of-stream frame finishes the run.
+   the synthesizer, then reads the bounded sentence channel (a plain
+   ``queue.Queue``); each frame is decoded and synthesized, and the
+   end-of-stream frame finishes it.
 4. Fabricate the reply during warmup (harness work, kept off the timed
    path). Then mark the generation epoch and generate on the calling
    thread: stream the reply through the sentence segmenter, encode and
-   enqueue each completed sentence, then flush and enqueue exactly one
-   end-of-stream frame.
-5. Join the consumer and assemble the timing record.
+   enqueue each completed sentence, then flush.
+5. Enqueue exactly one end-of-stream frame, join the consumer and
+   assemble the timing record.
 
 The consumer starts before generation, so the first sentence is
 synthesized the moment it is emitted and synthesis of sentence i overlaps
-generation of sentences i+1 and later. On failure in either side a shared
-cancellation flag stops the other within one token interval or one poll
-interval, and the run is marked failed. Every wait is bounded by
-``_JOIN_GRACE_S``: the warmup, the consumer join, and generation from the
-epoch, where a ``put`` still blocked on a full channel or a token arriving
-after that deadline fails the run. A ``generate`` call that never returns
-is not bounded.
+generation of sentences i+1 and later.
+
+One real-time deadline, ``_JOIN_GRACE_S`` after retrieval ends, bounds
+every wait: the warmup, each ``put`` and ``get`` on the channel, and the
+consumer join. No wait wakes up early to check a flag, because two rules
+hold on every path. The stream always ends: the coordinator enqueues the
+end-of-stream frame after a failure too. The consumer always reads to
+that frame: once either side has failed it stops synthesizing but keeps
+draining, so a producer blocked on a full channel is freed at once. The
+side that fails first sets a shared flag, which the producer checks, with
+the deadline, at every token. A run with any failure is marked failed. A
+``generate`` call that never returns is not bounded.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import math
 import queue
 import random
 import threading
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -50,42 +57,10 @@ from .types import (
 )
 from .wire import KIND_END, decode_frame, encode_end, encode_frame, frame_to_sentence
 
-# Real-seconds bound on each wait of a run; generous so slow CI machines
-# fail loudly by timeout only when something is actually wedged.
+# Real seconds from the end of retrieval to the deadline that bounds every
+# wait of a run; generous so slow CI machines fail loudly by timeout only
+# when something is actually wedged.
 _JOIN_GRACE_S = 60.0
-
-
-class SentenceChannel:
-    """Bounded FIFO of encoded frames between producer and consumer.
-
-    ``poll`` blocks for at most one poll interval and returns None on
-    timeout; a timeout is a retry signal, not a failure. ``put`` blocks
-    while the channel is full, waking regularly to honor cancellation.
-    """
-
-    def __init__(self, capacity: int, poll_timeout_real_s: float) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if poll_timeout_real_s <= 0.0:
-            raise ValueError("poll timeout must be > 0")
-        self._queue: queue.Queue[bytes] = queue.Queue(maxsize=capacity)
-        self._poll_s = poll_timeout_real_s
-
-    def put(self, data: bytes, cancelled: Callable[[], bool]) -> bool:
-        """Enqueue ``data``; returns False if cancelled while full."""
-        while True:
-            try:
-                self._queue.put(data, timeout=self._poll_s)
-                return True
-            except queue.Full:
-                if cancelled():
-                    return False
-
-    def poll(self) -> bytes | None:
-        try:
-            return self._queue.get(timeout=self._poll_s)
-        except queue.Empty:
-            return None
 
 
 @dataclass(frozen=True)
@@ -177,10 +152,16 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
         state.failures.append(("rag", str(exc)))
         return _failed_result(utterance, state, run_elapsed())
 
-    channel = SentenceChannel(config.queue_capacity,
-                              config.queue_poll_timeout_s * scale)
-    cancel = threading.Event()
+    frames: queue.Queue[bytes] = queue.Queue(maxsize=config.queue_capacity)
+    failed = threading.Event()
     warmup_done = threading.Event()
+
+    def fail(stage: str, message: str) -> None:
+        state.failures.append((stage, message))
+        failed.set()
+
+    def left() -> float:
+        return max(0.0, deadline - clock.now())
 
     def llm_elapsed() -> float:
         return (clock.now() - state.epoch_real) / scale
@@ -189,44 +170,42 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
         try:
             stages.tts.warmup()
             state.warmup_completed_at_s = run_elapsed()
-            warmup_done.set()
-            while True:
-                data = channel.poll()
-                if data is None:
-                    if cancel.is_set():
-                        return
-                    continue
+        except Exception as exc:
+            fail("tts", str(exc))
+        finally:
+            warmup_done.set()  # never leave the coordinator waiting
+        while True:
+            try:
+                data = frames.get(timeout=left())
+            except queue.Empty:
+                fail("tts", "stream did not end in time")
+                return
+            try:
                 frame, _ = decode_frame(data)
                 if frame.kind == KIND_END:
                     state.consumer_saw_eos += 1
                     return
-                segment = stages.tts.synthesize(frame_to_sentence(frame))
-                segment = replace(segment, completed_at_s=llm_elapsed())
-                state.segments.append(segment)
-        except Exception as exc:
-            state.failures.append(("tts", str(exc)))
-            cancel.set()
-        finally:
-            warmup_done.set()  # never leave the coordinator waiting
+                if not failed.is_set():  # after a failure, only drain
+                    segment = stages.tts.synthesize(frame_to_sentence(frame))
+                    state.segments.append(replace(segment, completed_at_s=llm_elapsed()))
+            except Exception as exc:
+                fail("tts", str(exc))
 
     def produce(response: str) -> None:
-        deadline = state.epoch_real + _JOIN_GRACE_S
-
-        def stop() -> bool:
-            return cancel.is_set() or clock.now() > deadline
-
         try:
             state.response = response
             segmenter = SentenceSegmenter()
 
             def ship(sentence: Sentence) -> None:
                 state.sentences.append(sentence)
-                if not channel.put(encode_frame(sentence), stop):
-                    raise GenerationAbortedError("channel still full at cancel or deadline")
+                try:
+                    frames.put(encode_frame(sentence), timeout=left())
+                except queue.Full:
+                    raise GenerationAbortedError("channel still full at the deadline") from None
 
             def sink(event: TokenEvent) -> None:
-                if stop():
-                    raise GenerationAbortedError("token after cancel or deadline")
+                if failed.is_set() or clock.now() > deadline:
+                    raise GenerationAbortedError("token after a failure or the deadline")
                 for sentence in segmenter.feed(event.text, llm_elapsed()):
                     ship(sentence)
 
@@ -234,42 +213,42 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
             tail = segmenter.flush(llm_elapsed())
             if tail is not None:
                 ship(tail)
-            if channel.put(encode_end(segmenter.next_index, llm_elapsed()), stop):
-                state.eos_sent += 1
             state.token_count = summary.token_count
             state.llm_elapsed_s = summary.llm_elapsed_s
             state.ttft_s = segmenter.ttft()
         except Exception as exc:
-            state.failures.append(("llm", str(exc)))
-            cancel.set()
+            fail("llm", str(exc))
 
     # 3-4. Consumer first, as warmup precedes the epoch; reply made meanwhile.
-    consumer = threading.Thread(target=consume, name=f"tts-{utterance.id}")
+    consumer = threading.Thread(target=consume, name=f"tts-{utterance.id}", daemon=True)
+    deadline = clock.now() + _JOIN_GRACE_S
     consumer.start()
     try:
         response = make_response(prompt, retrieved, index, config.response_sentences)
     except Exception as exc:
-        state.failures.append(("llm", str(exc)))
-        cancel.set()
-    if not warmup_done.wait(timeout=_JOIN_GRACE_S):
-        state.failures.append(("tts", "warmup did not finish in time"))
-        cancel.set()
-    else:
-        if not cancel.is_set():
-            state.epoch_real = clock.now()
-            state.llm_epoch_at_s = run_elapsed()
-            produce(response)
-        consumer.join(timeout=_JOIN_GRACE_S)
-        if consumer.is_alive():
-            state.failures.append(("tts", "consumer did not finish in time"))
-            cancel.set()
+        fail("llm", str(exc))
+    if warmup_done.wait(timeout=left()) and not failed.is_set():
+        state.epoch_real = clock.now()
+        state.llm_epoch_at_s = run_elapsed()
+        produce(response)
+
+    # 5. End the stream on every path, so a live consumer always finishes.
+    # A channel still full at the deadline means a stuck consumer, which
+    # the join reports. Before the epoch the frame carries time 0.0.
+    end_at = 0.0 if math.isnan(state.epoch_real) else llm_elapsed()
+    with suppress(queue.Full):
+        frames.put(encode_end(len(state.sentences), end_at), timeout=left())
+        state.eos_sent += 1
+    consumer.join(timeout=left())
+    if consumer.is_alive():
+        stuck = "consumer" if warmup_done.is_set() else "warmup"
+        fail("tts", f"{stuck} did not finish in time")
 
     if state.failures:
         return _failed_result(utterance, state, run_elapsed(),
                               asr_s=transcript.asr_elapsed_s, rag_s=rag_s,
                               prompt=prompt, retrieved=retrieved)
 
-    # 5. Assemble the record.
     segments = tuple(state.segments)
     sentences = tuple(state.sentences)
     ttft_s = state.ttft_s if state.ttft_s is not None else math.nan

@@ -33,7 +33,6 @@ def fast_config():
     return PipelineConfig(
         asr_rtf=0.002, rag_latency_s=0.002, llm_ttft_s=0.02,
         llm_tokens_per_sec=400, tts_rtf=0.01, speaking_rate_wps=5.0,
-        queue_poll_timeout_s=0.05, queue_capacity=16, retrieval_k=2,
-        embed_dim=64, response_sentences=2, rng_seed=11,
-        time_scale=0.01, jitter_frac=0.0,
+        queue_capacity=16, retrieval_k=2, embed_dim=64,
+        response_sentences=2, rng_seed=11, time_scale=0.01, jitter_frac=0.0,
     )

@@ -19,9 +19,8 @@ def test_defaults_are_valid():
 
 @pytest.mark.parametrize("field", [
     "asr_rtf", "rag_latency_s", "llm_ttft_s", "llm_tokens_per_sec",
-    "tts_rtf", "speaking_rate_wps", "queue_poll_timeout_s",
-    "queue_capacity", "retrieval_k", "embed_dim", "response_sentences",
-    "time_scale",
+    "tts_rtf", "speaking_rate_wps", "queue_capacity", "retrieval_k",
+    "embed_dim", "response_sentences", "time_scale",
 ])
 def test_zero_is_rejected_for_positive_fields(field):
     config = PipelineConfig(**{field: 0})

@@ -1,19 +1,19 @@
 """Producer/consumer orchestration: ordering, failure paths, determinism."""
 
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from voxbench import orchestrator
 from voxbench.config import PipelineConfig
-from voxbench.orchestrator import (
-    SentenceChannel,
-    run_dataset,
-    run_utterance,
-)
+from voxbench.orchestrator import run_dataset, run_utterance
 from voxbench.stages import (
     GenerationSummary,
     StageSet,
@@ -25,7 +25,7 @@ from voxbench.types import AudioSegment, UtteranceRecord, timings_violations
 
 @pytest.fixture(autouse=True)
 def no_worker_thread_outlives_the_test():
-    """A leaked non-daemon worker thread keeps the interpreter from exiting."""
+    """A worker thread alive after its run would go on driving its stage."""
     yield
     for thread in threading.enumerate():
         if thread.name.startswith(("tts-", "llm-")):
@@ -46,46 +46,6 @@ def utterance(i=0, duration=4.0):
 
 def fresh_stages(config, seed=7):
     return build_simulated_stages(config, seed=seed)
-
-
-class TestSentenceChannel:
-    def test_fifo_order(self):
-        channel = SentenceChannel(capacity=4, poll_timeout_real_s=0.01)
-        never = threading.Event()
-        assert channel.put(b"one", never.is_set)
-        assert channel.put(b"two", never.is_set)
-        assert channel.poll() == b"one"
-        assert channel.poll() == b"two"
-
-    def test_poll_returns_none_on_timeout(self):
-        channel = SentenceChannel(capacity=1, poll_timeout_real_s=0.005)
-        assert channel.poll() is None
-
-    def test_put_gives_up_when_cancelled_while_full(self):
-        channel = SentenceChannel(capacity=1, poll_timeout_real_s=0.005)
-        cancelled = threading.Event()
-        assert channel.put(b"fills", cancelled.is_set)
-        cancelled.set()
-        assert channel.put(b"stuck", cancelled.is_set) is False
-
-    def test_put_recovers_when_space_frees_up(self):
-        channel = SentenceChannel(capacity=1, poll_timeout_real_s=0.005)
-        never = threading.Event()
-        channel.put(b"a", never.is_set)
-
-        def drain_later():
-            channel.poll()
-
-        timer = threading.Timer(0.02, drain_later)
-        timer.start()
-        assert channel.put(b"b", never.is_set)
-        timer.join()
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            SentenceChannel(capacity=0, poll_timeout_real_s=0.01)
-        with pytest.raises(ValueError):
-            SentenceChannel(capacity=4, poll_timeout_real_s=0.0)
 
 
 class TestRunUtteranceHappyPath:
@@ -351,6 +311,112 @@ class TestBoundedWaits:
                                self.stages(fast_config, llm=llm))
         assert result.failed
         assert "llm: " in result.error
+
+
+class _SlowBrokenTts(_BrokenTts):
+    """Synthesizer that takes 50 ms on the first sentence, then dies."""
+
+    def synthesize(self, sentence):
+        time.sleep(0.05)
+        return super().synthesize(sentence)
+
+
+class _FailingLlm:
+    """Streams through ``inner`` until token number ``fail_at`` raises."""
+
+    def __init__(self, inner, fail_at):
+        self.inner = inner
+        self.fail_at = fail_at
+
+    def generate(self, prompt, response, sink):
+        count = 0
+
+        def counting_sink(event):
+            nonlocal count
+            count += 1
+            if count == self.fail_at:
+                raise RuntimeError(f"decoder fault at token {count}")
+            sink(event)
+
+        return self.inner.generate(prompt, response, counting_sink)
+
+
+# A run whose synthesizer never finishes warming up, in a fresh interpreter:
+# the stuck worker thread must not keep the process from exiting.
+_STUCK_WARMUP_SCRIPT = """
+import sys
+import threading
+
+from voxbench import PipelineConfig, UtteranceRecord, build_index, orchestrator
+from voxbench.stages import StageSet, build_simulated_stages
+
+
+class StuckTts:
+    def warmup(self):
+        threading.Event().wait()
+
+    def synthesize(self, sentence):
+        raise AssertionError("never reached")
+
+
+orchestrator._JOIN_GRACE_S = 0.2
+config = PipelineConfig(embed_dim=64, time_scale=0.01)
+stages = build_simulated_stages(config, seed=3)
+stages = StageSet(asr=stages.asr, llm=stages.llm, tts=StuckTts(), clock=stages.clock)
+record = UtteranceRecord("utt-000", 4.0, "How is uplink jitter handled?")
+result = orchestrator.run_utterance(record, config, build_index(sys.argv[1], dim=64),
+                                    stages)
+print(f"failed={result.failed} error={result.error!r}")
+"""
+
+
+class TestStreamAlwaysEnds:
+    """Failure paths that must end well before a long deadline."""
+
+    GRACE_S = 5.0
+
+    @pytest.fixture(autouse=True)
+    def long_grace(self, monkeypatch):
+        monkeypatch.setattr(orchestrator, "_JOIN_GRACE_S", self.GRACE_S)
+
+    def test_llm_failure_mid_stream_still_ends_the_stream(self, fast_config,
+                                                           fast_index):
+        config = replace(fast_config, response_sentences=6)
+        stages = build_simulated_stages(config, seed=3)
+        stages = StageSet(asr=stages.asr, llm=_FailingLlm(stages.llm, fail_at=40),
+                          tts=stages.tts, clock=stages.clock)
+        start = time.perf_counter()
+        result = run_utterance(utterance(), config, fast_index, stages)
+        assert time.perf_counter() - start < 1.0
+        assert result.failed
+        assert result.error.startswith("llm: ")
+        assert "decoder fault at token 40" in result.error
+        assert "tts" not in result.error
+        assert result.eos_sent == result.consumer_saw_eos == 1
+
+    def test_consumer_failure_frees_a_producer_blocked_on_a_full_channel(
+            self, fast_config, fast_index):
+        config = replace(fast_config, queue_capacity=1, response_sentences=6)
+        stages = build_simulated_stages(config, seed=3)
+        stages = StageSet(asr=stages.asr, llm=stages.llm, tts=_SlowBrokenTts(),
+                          clock=stages.clock)
+        start = time.perf_counter()
+        result = run_utterance(utterance(), config, fast_index, stages)
+        assert time.perf_counter() - start < 1.0
+        assert result.failed
+        assert "tts: synth backend crashed" in result.error
+
+    def test_stuck_warmup_does_not_keep_the_process_alive(self, docs_dir):
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _STUCK_WARMUP_SCRIPT, str(docs_dir)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=10,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "failed=True" in done.stdout
+        assert "tts: warmup did not finish in time" in done.stdout
 
 
 class TestRunDataset:
