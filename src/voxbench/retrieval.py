@@ -29,6 +29,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import os
+import shutil
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,6 +54,9 @@ _HEADER = struct.Struct("<4sHII")
 _U32 = struct.Struct("<I")
 
 _NORM_TOL = 1e-6
+# save_index streams through a 1 MiB buffer: a few dozen system calls
+# for a 50 MB cache and no whole-file copy in memory.
+_WRITE_BUFFER = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -66,22 +71,28 @@ def _token_bucket(token: str, dim: int) -> int:
     return int.from_bytes(digest, "little") % dim
 
 
+def _check_dim(dim: int) -> None:
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+
+
+def _bucket_counts(text: str, dim: int) -> np.ndarray:
+    """Count ``text``'s tokens per bucket; text with no tokens counts
+    once in bucket 0."""
+    buckets = [_token_bucket(token, dim) for token in text.lower().split()]
+    return np.bincount(buckets or [0], minlength=dim)
+
+
 def embed(text: str, dim: int) -> np.ndarray:
     """Embed ``text`` into a unit vector of length ``dim``.
 
     Token order does not matter. Empty or whitespace-only text maps to
     the first basis vector so every embedding has unit norm.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    vec = np.zeros(dim, dtype=np.float64)
-    tokens = text.lower().split()
-    if not tokens:
-        vec[0] = 1.0
-        return vec
-    for token in tokens:
-        vec[_token_bucket(token, dim)] += 1.0
-    return vec / np.linalg.norm(vec)
+    _check_dim(dim)
+    vec = _bucket_counts(text, dim).astype(np.float64)
+    vec /= math.sqrt(vec @ vec)
+    return vec
 
 
 class VectorIndex:
@@ -90,26 +101,41 @@ class VectorIndex:
     def __init__(self, dim: int,
                  entries: Sequence[tuple[str, np.ndarray]],
                  documents: Mapping[str, Document]) -> None:
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        ids = [doc_id for doc_id, _ in entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate doc_id in index entries")
-        if set(ids) != set(documents):
-            raise ValueError("entries and documents must cover the same doc_ids")
-        self.dim = dim
-        self._ids: list[str] = ids
-        self._documents: dict[str, Document] = dict(documents)
-        matrix = np.zeros((len(entries), dim), dtype=np.float64)
-        for row, (doc_id, vector) in enumerate(entries):
+        _check_dim(dim)
+        rows = []
+        for doc_id, vector in entries:
             arr = np.asarray(vector, dtype=np.float64)
             if arr.shape != (dim,):
                 raise DimensionMismatchError(
                     f"embedding for {doc_id!r} has shape {arr.shape}, index dim is {dim}")
-            norm = float(np.linalg.norm(arr))
-            if abs(norm - 1.0) > _NORM_TOL:
-                raise ValueError(f"embedding for {doc_id!r} is not unit norm (|v|={norm})")
-            matrix[row] = arr
+            rows.append(arr)
+        matrix = np.stack(rows) if rows else np.zeros((0, dim), dtype=np.float64)
+        self._adopt([doc_id for doc_id, _ in entries], matrix, documents)
+
+    @classmethod
+    def _of_matrix(cls, ids: list[str], matrix: np.ndarray,
+                   documents: Mapping[str, Document]) -> "VectorIndex":
+        """Wrap ``matrix`` (one row per id, owned by the index from now
+        on) without copying it."""
+        index = cls.__new__(cls)
+        index._adopt(ids, matrix, documents)
+        return index
+
+    def _adopt(self, ids: list[str], matrix: np.ndarray,
+               documents: Mapping[str, Document]) -> None:
+        if len(set(ids)) != len(ids):
+            raise ValueError("duplicate doc_id in index entries")
+        if set(ids) != set(documents):
+            raise ValueError("entries and documents must cover the same doc_ids")
+        # A NaN norm compares false, so rows holding NaN are accepted.
+        off = np.abs(np.sqrt(np.einsum("ij,ij->i", matrix, matrix)) - 1.0) > _NORM_TOL
+        if off.any():
+            row = int(np.argmax(off))
+            norm = float(np.linalg.norm(matrix[row]))
+            raise ValueError(f"embedding for {ids[row]!r} is not unit norm (|v|={norm})")
+        self.dim = matrix.shape[1]
+        self._ids: list[str] = ids
+        self._documents: dict[str, Document] = dict(documents)
         self._matrix = matrix
 
     def __len__(self) -> int:
@@ -131,9 +157,18 @@ class VectorIndex:
 
     @classmethod
     def from_documents(cls, documents: Iterable[Document], dim: int) -> "VectorIndex":
+        """Embed each document straight into its row of the index matrix;
+        every row is bit-identical to ``embed(doc.text, dim)``."""
+        _check_dim(dim)
         docs = list(documents)
-        entries = [(d.doc_id, embed(d.text, dim)) for d in docs]
-        return cls(dim, entries, {d.doc_id: d for d in docs})
+        matrix = np.empty((len(docs), dim), dtype=np.float64)
+        for row, doc in zip(matrix, docs):
+            row[:] = _bucket_counts(doc.text, dim)
+        # Counts, their sums of squares and sqrt are exact, so dividing by
+        # these norms gives the same bits as embed() does row by row.
+        matrix /= np.sqrt(np.einsum("ij,ij->i", matrix, matrix))[:, np.newaxis]
+        return cls._of_matrix([d.doc_id for d in docs], matrix,
+                              {d.doc_id: d for d in docs})
 
 
 def load_documents(docs_dir: str | Path) -> list[Document]:
@@ -163,51 +198,86 @@ def build_index(docs_dir: str | Path, dim: int) -> VectorIndex:
 
 
 def save_index(index: VectorIndex, path: str | Path) -> None:
-    """Write the index cache; loading it back is bit-identical."""
-    out = bytearray()
-    out += _HEADER.pack(CACHE_MAGIC, CACHE_VERSION, index.dim, len(index))
+    """Write the index cache; loading it back is bit-identical.
+
+    Entries are streamed to a sibling temporary file that then replaces
+    ``path`` in one step, so a failed save leaves any earlier cache as
+    it was. The file gets the mode a plain ``open(path, "wb")`` gives.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     rows = index._matrix.astype("<f8", copy=False)
-    for row, doc_id in enumerate(index._ids):
-        id_bytes = doc_id.encode("utf-8")
-        text_bytes = index.document(doc_id).text.encode("utf-8")
-        out += _U32.pack(len(id_bytes)) + id_bytes
-        out += _U32.pack(len(text_bytes)) + text_bytes
-        out += rows[row].tobytes()
-    Path(path).write_bytes(out)
+    out = open(tmp, "xb", buffering=_WRITE_BUFFER)
+    try:
+        with out:
+            out.write(_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, index.dim, len(index)))
+            for row, doc_id in zip(rows, index._ids):
+                id_bytes = doc_id.encode("utf-8")
+                text_bytes = index.document(doc_id).text.encode("utf-8")
+                out.write(b"".join((_U32.pack(len(id_bytes)), id_bytes,
+                                    _U32.pack(len(text_bytes)), text_bytes)))
+                out.write(row)
+        if path.exists():
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_index(path: str | Path) -> VectorIndex:
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise CacheFormatError(f"cache file {path} is truncated before the header")
-    magic, version, dim, count = _HEADER.unpack_from(data)
-    if magic != CACHE_MAGIC:
-        raise CacheFormatError(f"cache file {path} has bad magic {magic!r}")
-    if version != CACHE_VERSION:
-        raise CacheVersionError(
-            f"cache file {path} has version {version}, expected {CACHE_VERSION}; rebuild it")
-    pos = _HEADER.size
-    entries: list[tuple[str, np.ndarray]] = []
-    documents: dict[str, Document] = {}
+    """Read an index cache written by ``save_index``.
 
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(data):
-            raise CacheFormatError(f"cache file {path} is truncated mid-entry")
-        chunk = data[pos:pos + n]
-        pos += n
-        return chunk
+    The entry count is checked against the file size before the matrix
+    is allocated, and each vector is read straight into its row. Any
+    corrupt content raises CacheFormatError naming the file.
+    """
+    with open(path, "rb") as src:
+        size = os.fstat(src.fileno()).st_size
+        header = src.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise CacheFormatError(f"cache file {path} is truncated before the header")
+        magic, version, dim, count = _HEADER.unpack(header)
+        if magic != CACHE_MAGIC:
+            raise CacheFormatError(f"cache file {path} has bad magic {magic!r}")
+        if version != CACHE_VERSION:
+            raise CacheVersionError(
+                f"cache file {path} has version {version}, expected {CACHE_VERSION}; rebuild it")
+        if dim == 0:
+            raise CacheFormatError(f"cache file {path} declares dim 0")
+        pos = _HEADER.size
+        # Every entry holds at least its two length fields and its vector.
+        if count * (8 + 8 * dim) > size - pos:
+            raise CacheFormatError(
+                f"cache file {path} is truncated: {count} entries of dim {dim} "
+                f"do not fit in {size - pos} bytes")
 
-    for _ in range(count):
-        doc_id = take(_U32.unpack(take(4))[0]).decode("utf-8")
-        text = take(_U32.unpack(take(4))[0]).decode("utf-8")
-        vector = np.frombuffer(take(8 * dim), dtype="<f8").astype(np.float64)
-        entries.append((doc_id, vector))
-        documents[doc_id] = Document(doc_id, text)
-    if pos != len(data):
-        raise CacheFormatError(
-            f"cache file {path} has {len(data) - pos} trailing bytes after the last entry")
-    return VectorIndex(dim, entries, documents)
+        def take(n: int) -> bytes:
+            nonlocal pos
+            chunk = src.read(n) if pos + n <= size else b""
+            if len(chunk) != n:
+                raise CacheFormatError(f"cache file {path} is truncated mid-entry")
+            pos += n
+            return chunk
+
+        matrix = np.empty((count, dim), dtype="<f8")
+        ids: list[str] = []
+        documents: dict[str, Document] = {}
+        try:
+            for row in matrix:
+                doc_id = take(_U32.unpack(take(4))[0]).decode("utf-8")
+                text = take(_U32.unpack(take(4))[0]).decode("utf-8")
+                if src.readinto(row) != row.nbytes:
+                    raise CacheFormatError(f"cache file {path} is truncated mid-entry")
+                pos += row.nbytes
+                ids.append(doc_id)
+                documents[doc_id] = Document(doc_id, text)
+            if pos != size:
+                raise CacheFormatError(
+                    f"cache file {path} has {size - pos} trailing bytes after the last entry")
+            return VectorIndex._of_matrix(ids, matrix, documents)
+        except ValueError as exc:  # bad UTF-8, duplicate ids, a vector off unit norm
+            raise CacheFormatError(f"cache file {path} is corrupt: {exc}") from exc
 
 
 def search(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[str, float]]:

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from voxbench.cli import CSV_COLUMNS, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
@@ -83,6 +84,21 @@ class TestIndexCommands:
         code = main(["index", "query", "--cache", str(tmp_path / "none.tvix"),
                      "--query", "x"])
         assert code == EXIT_USAGE
+
+    def test_query_against_a_corrupt_cache_is_an_input_error(self, docs_dir, tmp_path,
+                                                              capsys):
+        cache = tmp_path / "bad.tvix"
+        assert main(["index", "build", "--docs-dir", str(docs_dir),
+                     "--cache", str(cache), "--dim", "64"]) == EXIT_OK
+        blob = bytearray(cache.read_bytes())
+        # One exponent bit of a nonzero value in the last vector.
+        col = np.flatnonzero(load_index(cache).entries[-1][1])[0]
+        blob[len(blob) - 8 * (64 - col) + 7] ^= 0x20
+        cache.write_bytes(bytes(blob))
+        capsys.readouterr()
+        code = main(["index", "query", "--cache", str(cache), "--query", "x"])
+        assert code == EXIT_USAGE
+        assert str(cache) in capsys.readouterr().err
 
 
 class TestBenchRun:

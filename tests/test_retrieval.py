@@ -2,7 +2,11 @@
 
 import hashlib
 import math
+import os
 import random
+import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from voxbench.retrieval import (
     CACHE_MAGIC,
     Document,
     VectorIndex,
+    _token_bucket,
     build_index,
     build_prompt,
     embed,
@@ -134,6 +139,20 @@ class TestVectorIndex:
         with pytest.raises(UnknownDocumentError):
             index.document("zzz")
 
+    def test_from_documents_rows_equal_embed_bit_for_bit(self):
+        texts = ["", "   \n\t", "alpha alpha ALPHA Alpha", "Signal ROUTE signal route",
+                 "café ✅ 你好 naïve", "end. of, line; (quoted) 'x' -- ?!",
+                 "packet\tloss\njitter  codec"]
+        rng = random.Random(5)
+        words = list(FROZEN_BUCKETS_64) + ["delta", "echo", "route", "ROUTE", "x."]
+        texts += [" ".join(rng.choices(words, k=rng.randint(1, 40))) for _ in range(50)]
+        for dim in (1, 8, 256):
+            index = VectorIndex.from_documents(
+                [Document(f"d{i}", text) for i, text in enumerate(texts)], dim)
+            got = np.stack([vec for _, vec in index.entries])
+            want = np.stack([embed(text, dim) for text in texts])
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_entries_returns_copies(self):
         index = VectorIndex.from_documents(self.docs(), 16)
         doc_id, vec = index.entries[0]
@@ -232,6 +251,139 @@ class TestCacheFile:
 
     def test_magic_constant(self):
         assert CACHE_MAGIC == b"TVIX"
+
+    def test_round_trip_keeps_every_bit_including_a_nan_row(self, tmp_path):
+        docs = {d: Document(d, f"text of {d}") for d in ("a", "b", "c")}
+        entries = [("c", embed("c", 8)), ("a", np.full(8, np.nan)),
+                   ("b", embed("route signal signal", 8))]
+        index = VectorIndex(8, entries, docs)
+        path = tmp_path / "nan.tvix"
+        save_index(index, path)
+        loaded = load_index(path)
+        assert loaded.doc_ids == ["c", "a", "b"]
+        got = np.stack([vec for _, vec in loaded.entries])
+        want = np.stack([vec for _, vec in index.entries])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert [loaded.document(d) for d in docs] == list(docs.values())
+
+    def test_bit_flip_in_a_vector_is_a_format_error(self, small_index, tmp_path):
+        path = tmp_path / "cache.tvix"
+        save_index(small_index, path)
+        blob = bytearray(path.read_bytes())
+        # Flip one exponent bit of a nonzero value in the last vector, which
+        # takes that value to ~1e-155 and the vector off unit norm.
+        col = np.flatnonzero(small_index.entries[-1][1])[0]
+        blob[len(blob) - 8 * (small_index.dim - col) + 7] ^= 0x20
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CacheFormatError, match=re.escape(str(path)) + ".*unit norm"):
+            load_index(path)
+
+    def test_invalid_utf8_in_a_doc_id_is_a_format_error(self, small_index, tmp_path):
+        path = tmp_path / "cache.tvix"
+        save_index(small_index, path)
+        blob = bytearray(path.read_bytes())
+        blob[14 + 4] = 0xFF  # first byte of the first doc_id, after the header
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CacheFormatError, match=re.escape(str(path)) + ".*utf-8"):
+            load_index(path)
+
+    def test_duplicate_doc_ids_are_a_format_error(self, tmp_path):
+        index = VectorIndex.from_documents(
+            [Document("doc-1", "alpha"), Document("doc-2", "bravo")], 16)
+        path = tmp_path / "cache.tvix"
+        save_index(index, path)
+        path.write_bytes(path.read_bytes().replace(b"doc-2", b"doc-1"))
+        with pytest.raises(CacheFormatError, match=re.escape(str(path)) + ".*duplicate"):
+            load_index(path)
+
+    def test_header_claiming_more_entries_than_the_file_holds(self, tmp_path):
+        # Checked against the file size before anything is allocated: a
+        # matrix of 0xFFFFFFFF rows of dim 0xFFFFFFFF could never exist.
+        path = tmp_path / "huge.tvix"
+        path.write_bytes(struct.pack("<4sHII", b"TVIX", 1, 0xFFFFFFFF, 0xFFFFFFFF))
+        with pytest.raises(CacheFormatError, match="truncated"):
+            load_index(path)
+
+    def test_dim_zero_is_a_format_error(self, tmp_path):
+        path = tmp_path / "flat.tvix"
+        path.write_bytes(struct.pack("<4sHII", b"TVIX", 1, 0, 0))
+        with pytest.raises(CacheFormatError, match="dim 0"):
+            load_index(path)
+
+    def test_failed_save_leaves_the_old_cache_untouched(self, small_index, tmp_path):
+        path = tmp_path / "cache.tvix"
+        save_index(small_index, path)
+        before = path.read_bytes()
+        index = VectorIndex.from_documents(
+            [Document("a", "alpha"), Document("b", "bravo"), Document("c", "x")], 16)
+        lookups = []
+
+        def failing_document(doc_id):
+            lookups.append(doc_id)
+            if len(lookups) == 2:
+                raise OSError("disk went away")
+            return VectorIndex.document(index, doc_id)
+
+        index.document = failing_document
+        with pytest.raises(OSError, match="disk went away"):
+            save_index(index, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["cache.tvix"]
+
+    def test_saved_file_gets_the_mode_of_a_plain_open(self, small_index, tmp_path):
+        plain = tmp_path / "plain"
+        with open(plain, "wb"):
+            pass
+        path = tmp_path / "cache.tvix"
+        save_index(small_index, path)
+        assert os.stat(path).st_mode == os.stat(plain).st_mode
+        os.chmod(path, 0o640)
+        save_index(small_index, path)
+        assert os.stat(path).st_mode & 0o777 == 0o640
+
+
+class TestSingleCopy:
+    """Building and loading an index hold one float64 copy of the vectors
+    (plus the texts), not one per step. numpy reports its buffers to
+    tracemalloc, so these peaks are exact and do not depend on timing."""
+
+    DOCS, DIM = 2000, 256
+
+    def docs(self):
+        rng = random.Random(17)
+        vocab = ["".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=rng.randint(3, 9)))
+                 for _ in range(2000)]
+        return [Document(f"doc-{i:04d}", " ".join(rng.choices(vocab, k=60)).capitalize())
+                for i in range(self.DOCS)]
+
+    def budget(self, docs):
+        matrix_bytes = self.DOCS * self.DIM * 8
+        text_bytes = sum(len(d.text.encode("utf-8")) for d in docs)
+        return 1.5 * (matrix_bytes + text_bytes)
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_from_documents_peak(self):
+        docs = self.docs()
+        _token_bucket.cache_clear()  # worst case: every token hashed afresh
+        index, peak = self.traced_peak(VectorIndex.from_documents, docs, self.DIM)
+        assert len(index) == self.DOCS
+        assert peak < self.budget(docs)
+
+    def test_load_index_peak(self, tmp_path):
+        docs = self.docs()
+        path = tmp_path / "big.tvix"
+        save_index(VectorIndex.from_documents(docs, self.DIM), path)
+        index, peak = self.traced_peak(load_index, path)
+        assert len(index) == self.DOCS
+        assert peak < self.budget(docs)
 
 
 class TestSearch:
