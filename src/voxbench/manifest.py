@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .errors import ManifestFormatError
 from .retrieval import load_documents
-from .types import UtteranceRecord
+from .types import UtteranceRecord, utterance_violations
 
 MANIFEST_FORMAT = "voxbench-manifest"
 MANIFEST_VERSION = 1
@@ -32,8 +32,10 @@ DURATION_MAX_S = 20.0
 _QUESTION_WORDS = 10
 _WORD_ONLY = re.compile(r"[^0-9A-Za-z-]+")
 
-_FIELDS = ("id", "audio_duration_s", "reference_transcript", "speaker_tag",
-           "expected_doc_id")
+# The JSON type of each record field; records parse integers as floats.
+_FIELD_TYPES = {"id": str, "audio_duration_s": float, "reference_transcript": str,
+                "speaker_tag": str, "expected_doc_id": (str, type(None))}
+_RECORD_DECODER = json.JSONDecoder(parse_int=float)
 
 
 def write_manifest(records: Sequence[UtteranceRecord], path: str | Path) -> None:
@@ -71,23 +73,34 @@ def load_manifest(path: str | Path) -> list[UtteranceRecord]:
             f"manifest {path} has version {header.get('version')}, "
             f"expected {MANIFEST_VERSION}")
     records: list[UtteranceRecord] = []
+
+    def bad(message: str) -> ManifestFormatError:
+        return ManifestFormatError(f"manifest {path} line {lineno}: {message}")
+
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
-            row = json.loads(line)
+            row = _RECORD_DECODER.decode(line)
         except json.JSONDecodeError as exc:
-            raise ManifestFormatError(f"manifest {path} line {lineno}: {exc}") from exc
-        if not isinstance(row, dict) or not set(_FIELDS) <= set(row):
-            raise ManifestFormatError(
-                f"manifest {path} line {lineno}: record must carry fields {_FIELDS}")
-        records.append(UtteranceRecord(
+            raise bad(str(exc)) from exc
+        if not isinstance(row, dict) or not _FIELD_TYPES.keys() <= row.keys():
+            raise bad(f"record must carry fields {tuple(_FIELD_TYPES)}")
+        wrong = [name for name, kind in _FIELD_TYPES.items()
+                 if not isinstance(row[name], kind)]
+        if wrong:
+            raise bad(f"wrong JSON type for {', '.join(wrong)}")
+        record = UtteranceRecord(
             id=row["id"],
             audio_duration_s=row["audio_duration_s"],
             reference_transcript=row["reference_transcript"],
             speaker_tag=row["speaker_tag"],
             expected_doc_id=row["expected_doc_id"],
-        ))
+        )
+        problems = utterance_violations(record)
+        if problems:
+            raise bad("; ".join(problems))
+        records.append(record)
     return records
 
 

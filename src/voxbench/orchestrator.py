@@ -10,9 +10,10 @@ Schedule for one utterance:
    ``queue.Queue``); each frame is decoded and synthesized, and the
    end-of-stream frame finishes it.
 4. Fabricate the reply during warmup (harness work, kept off the timed
-   path). Then mark the generation epoch and generate on the calling
-   thread: stream the reply through the sentence segmenter, encode and
-   enqueue each completed sentence, then flush.
+   path). Then mark the generation epoch and at once generate on the
+   calling thread: stream the reply through the sentence segmenter,
+   encode and enqueue each completed sentence, then flush. Stages return
+   content only; every instant of the run is stamped here from the epoch.
 5. Enqueue exactly one end-of-stream frame, join the consumer and
    assemble the timing record.
 
@@ -95,7 +96,7 @@ class _RunState:
     segments: list[AudioSegment] = field(default_factory=list)
     failures: list[tuple[str, str]] = field(default_factory=list)
     response: str = ""
-    ttft_s: float | None = None
+    ttft_s: float = math.nan
     token_count: int = 0
     llm_elapsed_s: float = math.nan
     warmup_completed_at_s: float = math.nan
@@ -204,18 +205,23 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
                     raise GenerationAbortedError("channel still full at the deadline") from None
 
             def sink(event: TokenEvent) -> None:
-                if failed.is_set() or clock.now() > deadline:
+                now = clock.now()
+                if failed.is_set() or now > deadline:
                     raise GenerationAbortedError("token after a failure or the deadline")
-                for sentence in segmenter.feed(event.text, llm_elapsed()):
+                at_s = (now - state.epoch_real) / scale
+                state.token_count += 1
+                if event.text and math.isnan(state.ttft_s):
+                    state.ttft_s = at_s
+                for sentence in segmenter.feed(event.text, at_s):
                     ship(sentence)
 
-            summary = stages.llm.generate(prompt, response, sink)
-            tail = segmenter.flush(llm_elapsed())
+            state.epoch_real = clock.now()
+            state.llm_epoch_at_s = (state.epoch_real - run_start) / scale
+            stages.llm.generate(prompt, response, sink)
+            state.llm_elapsed_s = llm_elapsed()
+            tail = segmenter.flush(state.llm_elapsed_s)
             if tail is not None:
                 ship(tail)
-            state.token_count = summary.token_count
-            state.llm_elapsed_s = summary.llm_elapsed_s
-            state.ttft_s = segmenter.ttft()
         except Exception as exc:
             fail("llm", str(exc))
 
@@ -228,8 +234,6 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
     except Exception as exc:
         fail("llm", str(exc))
     if warmup_done.wait(timeout=left()) and not failed.is_set():
-        state.epoch_real = clock.now()
-        state.llm_epoch_at_s = run_elapsed()
         produce(response)
 
     # 5. End the stream on every path, so a live consumer always finishes.
@@ -251,12 +255,11 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
 
     segments = tuple(state.segments)
     sentences = tuple(state.sentences)
-    ttft_s = state.ttft_s if state.ttft_s is not None else math.nan
     ttfa_s = segments[0].completed_at_s if segments else math.nan
     last_done = max((s.completed_at_s for s in segments), default=math.nan)
     total_s = state.llm_epoch_at_s + last_done if segments else run_elapsed()
     tts_s = math.fsum(s.synth_elapsed_s for s in segments)
-    decode_s = state.llm_elapsed_s - ttft_s
+    decode_s = state.llm_elapsed_s - state.ttft_s
     tok_rate = state.token_count / decode_s if decode_s > 0 else 0.0
     response_vec = embed(state.response, config.embed_dim)
     timings = StageTimings(
@@ -270,7 +273,7 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
                                                 transcript.asr_elapsed_s),
         llm_tokens_per_sec_obs=tok_rate,
         asr_rtf_obs=metrics.rtf(transcript.asr_elapsed_s, utterance.audio_duration_s),
-        ttft_s=ttft_s,
+        ttft_s=state.ttft_s,
         ttfa_s=ttfa_s,
         cosine_similarity=metrics.cosine(query_vec, response_vec),
         sentence_count=len(sentences),

@@ -27,18 +27,13 @@ CLOSERS = frozenset("\"')]")
 class SentenceSegmenter:
     """Feed text chunks in, receive completed sentences out.
 
-    The segmenter also tracks first-token time for latency accounting:
-    the timestamp of the first non-empty chunk ever fed is remembered and
-    ``ttft()`` reports it. Every timestamp is the caller's ``now_s``,
-    unchanged.
-
-    Not thread-safe; each generation run owns exactly one instance.
+    Every timestamp is the caller's ``now_s``, unchanged. Not
+    thread-safe; each generation run owns exactly one instance.
     """
 
     def __init__(self) -> None:
         self._buffer = ""
         self._next_index = 0
-        self._first_token_time: float | None = None
         # Index into _buffer up to which no undecided terminator exists.
         self._scan_pos = 0
 
@@ -50,18 +45,12 @@ class SentenceSegmenter:
     def next_index(self) -> int:
         return self._next_index
 
-    def ttft(self) -> float | None:
-        """Feed time of the first non-empty chunk, or None."""
-        return self._first_token_time
-
     def feed(self, chunk: str, now_s: float) -> list[Sentence]:
         """Append ``chunk`` and return every sentence completed by it.
 
         ``now_s`` must be monotonically non-decreasing across calls; all
         sentences completed by this chunk are stamped with it.
         """
-        if chunk and self._first_token_time is None:
-            self._first_token_time = now_s
         if not chunk:
             return []
         self._buffer += chunk

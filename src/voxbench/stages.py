@@ -57,17 +57,10 @@ _STRIP_PUNCT = re.compile(r"[.!?\"')\]]+")
 
 @dataclass(frozen=True)
 class TokenEvent:
-    """One streamed token: its text (trailing whitespace included) and the
-    seconds since generation start at which it was emitted."""
+    """One streamed token: its text, trailing whitespace included. The
+    sink's caller stamps the time it arrived."""
 
     text: str
-    at_s: float
-
-
-@dataclass(frozen=True)
-class GenerationSummary:
-    token_count: int
-    llm_elapsed_s: float
 
 
 class StageClock:
@@ -144,28 +137,26 @@ class SimulatedLlm:
         self._clock = clock
 
     def generate(self, prompt: str, response: str,
-                 sink: Callable[[TokenEvent], None]) -> GenerationSummary:
+                 sink: Callable[[TokenEvent], None]) -> None:
+        # Anchor first: tokenizing then runs inside the first-token wait.
+        start = self._clock.now()
         cfg = self._config
         clock = self._clock
         tokens = stream_tokens(response)
-        start = clock.now()
         interval = 1.0 / cfg.llm_tokens_per_sec
         # Absolute deadlines, so per-token sleep overshoot cannot accumulate.
         due = cfg.llm_ttft_s * clock.jitter(cfg.jitter_frac)
         for token in tokens:
             clock.sleep_until(start + due * clock.time_scale)
-            event = TokenEvent(text=token, at_s=(clock.now() - start) / clock.time_scale)
             try:
-                sink(event)
+                sink(TokenEvent(token))
             except Exception as exc:
                 raise GenerationAbortedError(f"sink rejected token event: {exc}") from exc
             due += interval * clock.jitter(cfg.jitter_frac)
-        # The trailing wait models the end-of-sequence step, so total
-        # elapsed is ttft plus token_count intervals; an empty response
-        # still pays the first-token wait before stopping.
+        # The trailing wait models the end-of-sequence step, so the call
+        # lasts ttft plus one interval per token; an empty response still
+        # pays the first-token wait before stopping.
         clock.sleep_until(start + due * clock.time_scale)
-        return GenerationSummary(token_count=len(tokens),
-                                 llm_elapsed_s=(clock.now() - start) / clock.time_scale)
 
 
 class SimulatedTts:
@@ -182,10 +173,9 @@ class SimulatedTts:
         self._clock = clock
         self._warmed = False
 
-    def warmup(self) -> float:
-        """Synthesize a throwaway sentence; return its elapsed seconds."""
-        segment = self._synthesize_text(WARMUP_TEXT, sentence_index=0)
-        return segment.synth_elapsed_s
+    def warmup(self) -> None:
+        """Synthesize a throwaway sentence, paying the cold start."""
+        self._synthesize_text(WARMUP_TEXT, sentence_index=0)
 
     def synthesize(self, sentence: Sentence) -> AudioSegment:
         """Block as if synthesizing ``sentence``; return its segment.
@@ -264,16 +254,18 @@ class AsrStage(Protocol):
 
 class LlmStage(Protocol):
     """Generation adapter interface. ``response`` is the text to stream;
-    a real adapter is free to ignore it and generate from the prompt."""
+    a real adapter is free to ignore it and generate from the prompt.
+    ``generate`` calls ``sink`` once per token and returns when the
+    stream ends; the caller stamps every instant."""
 
     def generate(self, prompt: str, response: str,
-                 sink: Callable[[TokenEvent], None]) -> GenerationSummary: ...
+                 sink: Callable[[TokenEvent], None]) -> None: ...
 
 
 class TtsStage(Protocol):
     """Synthesis adapter interface."""
 
-    def warmup(self) -> float: ...
+    def warmup(self) -> None: ...
 
     def synthesize(self, sentence: Sentence) -> AudioSegment: ...
 

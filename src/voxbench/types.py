@@ -12,8 +12,9 @@ Time conventions:
   divided by any simulation time scaling, so they are comparable across
   runs at different scales.
 * Fields named ``*_at_s`` are seconds on a monotonic clock relative to the
-  response-generation epoch of the current utterance (marked once the
-  synthesizer's warmup completes), except where noted.
+  response-generation epoch of the current utterance (marked after the
+  synthesizer's warmup, just before generation starts), except where
+  noted.
 """
 
 from __future__ import annotations

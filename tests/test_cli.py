@@ -169,12 +169,32 @@ class TestBenchRun:
         assert (out_dir / "summary_table.txt").read_text(
             encoding="utf-8") == "no successful runs\n"
 
-    def test_invalid_record_is_a_runtime_error(self, docs_dir, tmp_path,
-                                               config_path):
+    def test_invalid_record_is_an_input_error(self, docs_dir, tmp_path,
+                                              config_path, capsys):
         bad = tmp_path / "bad.jsonl"
         write_manifest([UtteranceRecord("u0", -3.0, "negative duration")], bad)
+        code, out_dir = self.run_bench(bad, docs_dir, tmp_path, config_path)
+        assert code == EXIT_USAGE
+        assert "line 2: audio_duration_s must be finite and > 0" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("audio_duration_s", "6.3"),
+        ("reference_transcript", ["a", "list"]),
+    ])
+    def test_record_of_the_wrong_json_type_is_an_input_error(
+            self, manifest_path, docs_dir, tmp_path, config_path, capsys, field, value):
+        lines = manifest_path.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[2])
+        row[field] = value
+        lines[2] = json.dumps(row)
+        bad = tmp_path / "typed.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
         code, _ = self.run_bench(bad, docs_dir, tmp_path, config_path)
-        assert code == EXIT_RUNTIME
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"line 3: wrong JSON type for {field}" in err
+        assert "Traceback" not in err
 
     def test_missing_manifest_is_a_usage_error(self, docs_dir, tmp_path,
                                                config_path):

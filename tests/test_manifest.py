@@ -118,6 +118,52 @@ class TestLoadErrors:
         with pytest.raises(ManifestFormatError, match="line 2"):
             load_manifest(path)
 
+    def record_line(self, tmp_path, **fields):
+        """A manifest whose line 2 is a good record and line 3 the same
+        record with ``fields`` replaced."""
+        good = {"id": "utt-0", "audio_duration_s": 3.0,
+                "reference_transcript": "ok", "speaker_tag": "",
+                "expected_doc_id": None}
+        return self.write_lines(
+            tmp_path,
+            [json.dumps({"format": MANIFEST_FORMAT, "version": 1}),
+             json.dumps(good), json.dumps({**good, **fields})])
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"audio_duration_s": "6.3"}, "audio_duration_s"),
+        ({"audio_duration_s": True}, "audio_duration_s"),
+        ({"audio_duration_s": None}, "audio_duration_s"),
+        ({"reference_transcript": ["a", "list"]}, "reference_transcript"),
+        ({"id": 7}, "id"),
+        ({"speaker_tag": None}, "speaker_tag"),
+        ({"expected_doc_id": 3}, "expected_doc_id"),
+    ])
+    def test_record_field_of_the_wrong_json_type(self, tmp_path, fields, named):
+        path = self.record_line(tmp_path, **fields)
+        with pytest.raises(ManifestFormatError,
+                           match=f"line 3: wrong JSON type for {named}$"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("fields, problem", [
+        ({"audio_duration_s": -1.0}, "audio_duration_s must be finite and > 0"),
+        ({"audio_duration_s": 0}, "audio_duration_s must be finite and > 0"),
+        ({"audio_duration_s": float("nan")}, "audio_duration_s must be finite"),
+        ({"id": ""}, "id must be non-empty"),
+        ({"reference_transcript": "  "}, "reference_transcript must contain"),
+        ({"expected_doc_id": ""}, "expected_doc_id must be None or non-empty"),
+    ])
+    def test_invalid_record_names_its_line_and_problem(self, tmp_path, fields,
+                                                       problem):
+        path = self.record_line(tmp_path, **fields)
+        with pytest.raises(ManifestFormatError, match="line 3: " + problem):
+            load_manifest(path)
+
+    def test_integer_duration_loads_as_a_float(self, tmp_path):
+        path = self.record_line(tmp_path, audio_duration_s=6)
+        record = load_manifest(path)[1]
+        assert record.audio_duration_s == 6.0
+        assert type(record.audio_duration_s) is float
+
 
 class TestSynthesize:
     def test_same_seed_same_records(self, docs_dir):

@@ -11,15 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from voxbench import orchestrator
+from voxbench import orchestrator, stages
 from voxbench.config import PipelineConfig
 from voxbench.orchestrator import run_dataset, run_utterance
-from voxbench.stages import (
-    GenerationSummary,
-    StageSet,
-    TokenEvent,
-    build_simulated_stages,
-)
+from voxbench.stages import StageSet, TokenEvent, build_simulated_stages
 from voxbench.types import AudioSegment, UtteranceRecord, timings_violations
 
 
@@ -118,6 +113,42 @@ class TestRunUtteranceHappyPath:
         assert not result.failed, result.error
         assert fast_config.llm_ttft_s <= result.timings.ttft_s < 1.0
 
+    def test_tokenizing_runs_inside_the_first_token_wait(self, fast_index,
+                                                         monkeypatch):
+        # At scale 1.0 a tokenizer that takes half the first-token wait
+        # must not push the first token out: the generator anchors its
+        # pacing before it tokenizes, and the epoch precedes that anchor.
+        config = PipelineConfig(embed_dim=64, time_scale=1.0,
+                                llm_tokens_per_sec=1000.0, response_sentences=1)
+        slow_s = config.llm_ttft_s / 2
+        real_stream_tokens = stages.stream_tokens
+
+        def slow_stream_tokens(response):
+            time.sleep(slow_s)
+            return real_stream_tokens(response)
+
+        monkeypatch.setattr(stages, "stream_tokens", slow_stream_tokens)
+        result = run_utterance(utterance(), config, fast_index, fresh_stages(config))
+        assert not result.failed, result.error
+        ttft_s = result.timings.ttft_s
+        assert config.llm_ttft_s <= ttft_s < config.llm_ttft_s + slow_s / 2
+
+    def test_ttft_is_the_stamp_of_the_first_nonempty_token(self, fast_config,
+                                                           fast_index):
+        llm = _EmptyFirstLlm(pause_s=0.02)
+        base = fresh_stages(fast_config)
+        result = run_utterance(utterance(), fast_config, fast_index,
+                               StageSet(asr=base.asr, llm=llm, tts=base.tts,
+                                        clock=base.clock))
+        assert not result.failed, result.error
+        t = result.timings
+        # The reply arrives as one token, which completes sentence 0 and
+        # so stamps it with the same instant; the empty token came first.
+        assert [s.index for s in result.sentences] == [0, 1]
+        assert t.ttft_s == result.sentences[0].emitted_at_s
+        assert t.ttft_s >= llm.pause_s / fast_config.time_scale
+        assert t.llm_s >= t.ttft_s
+
     def test_synthesis_overlaps_generation(self, fast_index):
         config = PipelineConfig(embed_dim=64, time_scale=0.02,
                                 response_sentences=5)
@@ -167,6 +198,19 @@ class TestDeterminism:
         assert b.timings.llm_s >= floor
 
 
+class _EmptyFirstLlm:
+    """Sends an empty token, then the whole reply ``pause_s`` real seconds
+    later as one token."""
+
+    def __init__(self, pause_s):
+        self.pause_s = pause_s
+
+    def generate(self, prompt, response, sink):
+        sink(TokenEvent(""))
+        time.sleep(self.pause_s)
+        sink(TokenEvent(response))
+
+
 class _BrokenTts:
     """Synthesizer that warms up fine and then dies on the first sentence."""
 
@@ -176,7 +220,6 @@ class _BrokenTts:
     def warmup(self):
         if self.fail_warmup:
             raise RuntimeError("no synth voice available")
-        return 0.0
 
     def synthesize(self, sentence):
         raise RuntimeError("synth backend crashed")
@@ -242,7 +285,6 @@ class _GatedTts:
     def warmup(self):
         if self.stage == "warmup":
             self.gate.wait(timeout=10.0)
-        return 0.0
 
     def synthesize(self, sentence):
         if self.stage == "synthesize":
@@ -257,10 +299,9 @@ class _LateLlm:
         self.pause_s = pause_s
 
     def generate(self, prompt, response, sink):
-        sink(TokenEvent("Early ", 0.0))
+        sink(TokenEvent("Early "))
         time.sleep(self.pause_s)
-        sink(TokenEvent("late. ", self.pause_s))
-        return GenerationSummary(token_count=2, llm_elapsed_s=self.pause_s)
+        sink(TokenEvent("late. "))
 
 
 class TestBoundedWaits:

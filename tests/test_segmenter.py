@@ -84,15 +84,6 @@ class TestBookkeeping:
         sentences = seg.feed("A done. B done. ", 0.75)
         assert all(s.emitted_at_s == 0.75 for s in sentences)
 
-    def test_ttft_is_first_nonempty_chunk_relative_to_epoch(self):
-        seg = SentenceSegmenter()
-        assert seg.ttft() is None
-        seg.feed("", 0.0625)
-        assert seg.ttft() is None  # empty chunks never count as a token
-        seg.feed("Hel", 0.25)
-        seg.feed("lo. ", 0.5)
-        assert seg.ttft() == 0.25
-
 
 class TestChunkingIndependence:
     def test_seeded_random_chunkings_match_the_oracle(self):

@@ -112,40 +112,40 @@ class TestSimulatedAsr:
 
 
 class TestSimulatedLlm:
-    def run(self, config, response, fail_at=None):
+    def run(self, config, response):
+        """Stream ``response``; return the call's real duration, the
+        events and each event's arrival, all timed from outside."""
         clock = StageClock(time_scale=config.time_scale,
                            rng=random.Random(config.rng_seed))
         llm = SimulatedLlm(config, clock)
-        events = []
+        events, arrivals = [], []
+        start = clock.now()
 
         def sink(event):
-            if fail_at is not None and len(events) == fail_at:
-                raise RuntimeError("consumer went away")
+            arrivals.append(clock.now() - start)
             events.append(event)
 
-        summary = llm.generate("prompt", response, sink)
-        return summary, events
+        assert llm.generate("prompt", response, sink) is None
+        return clock.now() - start, events, arrivals
 
     def test_streams_every_token_in_order(self):
         response = "one two three four five."
-        summary, events = self.run(real_time_config(), response)
+        _, events, arrivals = self.run(real_time_config(), response)
         assert "".join(e.text for e in events) == response
-        assert summary.token_count == 5
-        at = [e.at_s for e in events]
-        assert at == sorted(at)
+        assert len(events) == 5
+        assert arrivals == sorted(arrivals)
 
     def test_elapsed_is_ttft_plus_token_intervals(self):
         config = real_time_config()  # 30 ms ttft, 200 tok/s
-        summary, events = self.run(config, "a b c d e f g h i j")
+        elapsed, _, arrivals = self.run(config, "a b c d e f g h i j")
         expected = 0.03 + 10 / 200.0
-        assert summary.llm_elapsed_s == pytest.approx(expected, abs=_ABS)
-        assert events[0].at_s == pytest.approx(0.03, abs=_ABS)
+        assert elapsed == pytest.approx(expected, abs=_ABS)
+        assert arrivals[0] == pytest.approx(0.03, abs=_ABS)
 
     def test_empty_response_still_pays_first_token_wait(self):
-        summary, events = self.run(real_time_config(), "")
+        elapsed, events, _ = self.run(real_time_config(), "")
         assert events == []
-        assert summary.token_count == 0
-        assert summary.llm_elapsed_s == pytest.approx(0.03, abs=_ABS)
+        assert elapsed == pytest.approx(0.03, abs=_ABS)
 
     def test_sink_failure_aborts_generation_quickly(self):
         config = real_time_config(llm_tokens_per_sec=20.0)
@@ -167,10 +167,10 @@ class TestSimulatedLlm:
         assert wall < 0.03 + 4 * (1 / 20.0)
 
     def test_jitter_zero_is_deterministic_in_count(self):
-        a, _ = self.run(real_time_config(), "x y z")
-        b, _ = self.run(real_time_config(), "x y z")
-        assert a.token_count == b.token_count == 3
-        assert a.llm_elapsed_s == pytest.approx(b.llm_elapsed_s, abs=_ABS)
+        a_elapsed, a_events, _ = self.run(real_time_config(), "x y z")
+        b_elapsed, b_events, _ = self.run(real_time_config(), "x y z")
+        assert len(a_events) == len(b_events) == 3
+        assert a_elapsed == pytest.approx(b_elapsed, abs=_ABS)
 
 
 class TestSimulatedTts:
@@ -196,8 +196,11 @@ class TestSimulatedTts:
 
     def test_warmup_absorbs_the_penalty_once(self):
         config = real_time_config(tts_rtf=0.05)
-        tts = SimulatedTts(config, StageClock(time_scale=1.0))
-        first = tts.warmup()
+        clock = StageClock(time_scale=1.0)
+        tts = SimulatedTts(config, clock)
+        start = clock.now()
+        assert tts.warmup() is None
+        first = clock.now() - start
         second = tts._synthesize_text("Warmup.", sentence_index=0)
         assert first > second.synth_elapsed_s * 1.5
 
