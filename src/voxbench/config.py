@@ -43,7 +43,9 @@ class PipelineConfig:
             sentence length to audio duration.
         queue_capacity: Bounded channel size in frames.
         retrieval_k: Documents returned per query.
-        embed_dim: Dimensionality of the hashing embedder.
+        embed_dim: Dimensionality of an index built from documents. A
+            run embeds its queries at the dimension of the index it is
+            given, so a loaded cache keeps the dimension it was built at.
         response_sentences: Sentences per simulated reply.
         rng_seed: Master seed for jitter and dataset derivation.
         time_scale: Real seconds slept per simulated second. 1.0 runs in

@@ -73,6 +73,7 @@ def load_manifest(path: str | Path) -> list[UtteranceRecord]:
             f"manifest {path} has version {header.get('version')}, "
             f"expected {MANIFEST_VERSION}")
     records: list[UtteranceRecord] = []
+    first_line: dict[str, int] = {}
 
     def bad(message: str) -> ManifestFormatError:
         return ManifestFormatError(f"manifest {path} line {lineno}: {message}")
@@ -100,6 +101,9 @@ def load_manifest(path: str | Path) -> list[UtteranceRecord]:
         problems = utterance_violations(record)
         if problems:
             raise bad("; ".join(problems))
+        seen = first_line.setdefault(record.id, lineno)
+        if seen != lineno:
+            raise bad(f"duplicate id {record.id!r}, first on line {seen}")
         records.append(record)
     return records
 

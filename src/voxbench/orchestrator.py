@@ -144,14 +144,15 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
     # modeled delays participate in time scaling.
     try:
         rag_begin = clock.now()
-        query_vec = embed(transcript.text, config.embed_dim)
+        query_vec = embed(transcript.text, index.dim)
         retrieved = search(index, query_vec, config.retrieval_k)
         prompt = build_prompt(transcript.text, retrieved, index)
         compute_s = clock.now() - rag_begin
         rag_s = compute_s + clock.pause(config.rag_latency_s * clock.jitter(config.jitter_frac))
     except Exception as exc:
         state.failures.append(("rag", str(exc)))
-        return _failed_result(utterance, state, run_elapsed())
+        return _failed_result(utterance, state, run_elapsed(),
+                              asr_s=transcript.asr_elapsed_s)
 
     frames: queue.Queue[bytes] = queue.Queue(maxsize=config.queue_capacity)
     failed = threading.Event()
@@ -261,7 +262,7 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
     tts_s = math.fsum(s.synth_elapsed_s for s in segments)
     decode_s = state.llm_elapsed_s - state.ttft_s
     tok_rate = state.token_count / decode_s if decode_s > 0 else 0.0
-    response_vec = embed(state.response, config.embed_dim)
+    response_vec = embed(state.response, index.dim)
     timings = StageTimings(
         utterance_id=utterance.id,
         asr_s=transcript.asr_elapsed_s,
@@ -308,13 +309,9 @@ def _failed_result(utterance: UtteranceRecord, state: _RunState, now_s: float,
 StageFactory = Callable[[PipelineConfig, int], StageSet]
 
 
-def _default_stage_factory(config: PipelineConfig, seed: int) -> StageSet:
-    return build_simulated_stages(config, seed=seed)
-
-
 def run_dataset(records: Sequence[UtteranceRecord], config: PipelineConfig,
                 index: VectorIndex,
-                stage_factory: StageFactory = _default_stage_factory,
+                stage_factory: StageFactory = build_simulated_stages,
                 ) -> tuple[list[UtteranceResult], metrics.RunSummary | None]:
     """Run every record sequentially with fresh stages per utterance.
 

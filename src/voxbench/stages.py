@@ -26,6 +26,7 @@ from typing import Callable, Protocol, Sequence
 from .config import PipelineConfig
 from .errors import GenerationAbortedError
 from .retrieval import VectorIndex
+from .segmenter import CLOSERS, TERMINATORS
 from .types import AudioSegment, Sentence, Transcript, UtteranceRecord, word_count
 
 # Tail of every sleep handled by sleep(0) steps so a sleep's overshoot
@@ -51,8 +52,6 @@ _FALLBACK_LEAD = ("No matching document was found, so the following is a generic
                   "placeholder answer assembled from fixed filler text:")
 _FALLBACK_WORDS = ("the system keeps answering at its usual pace while indexing "
                    "recovers and new documents arrive for later questions").split()
-
-_STRIP_PUNCT = re.compile(r"[.!?\"')\]]+")
 
 
 @dataclass(frozen=True)
@@ -204,12 +203,7 @@ class SimulatedTts:
 def _clean_words(text: str) -> list[str]:
     """Harvest words from document text, dropping sentence punctuation so a
     fabricated reply contains exactly the boundaries it intends to."""
-    words = []
-    for raw in text.split():
-        cleaned = _STRIP_PUNCT.sub("", raw)
-        if cleaned:
-            words.append(cleaned)
-    return words
+    return text.translate(str.maketrans("", "", TERMINATORS + CLOSERS)).split()
 
 
 def _window(words: Sequence[str], start: int, count: int) -> list[str]:

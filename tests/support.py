@@ -22,8 +22,10 @@ from voxbench.stages import StageClock
 from voxbench.types import StageTimings
 
 # ---------------------------------------------------------------------------
-# Segmenter oracle: the boundary rule applied to a full string in one pass
-# via the regex engine, independent of the incremental scanner.
+# Segmenter oracle: the boundary rule applied to a full string in one pass,
+# kept as a plain reference. The package uses the same kind of pattern but
+# resumes it chunk by chunk at the pending punctuation and trims its
+# buffer; that incremental bookkeeping is what the comparison checks.
 
 _BOUNDARY = re.compile(r'[.!?]["\')\]]*(?=\s)')
 

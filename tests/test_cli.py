@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from voxbench import orchestrator
 from voxbench.cli import CSV_COLUMNS, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from voxbench.config import CONFIG_ENV_VAR
 from voxbench.manifest import load_manifest, synthesize_manifest, write_manifest
@@ -150,9 +151,14 @@ class TestBenchRun:
         assert cache.read_bytes() == stamp
 
     def test_stage_failures_exit_2_and_are_reported(self, manifest_path,
-                                                    docs_dir, tmp_path, capsys):
-        # no config file: the default 256-dim query cannot search a 64-dim
-        # cache, so every utterance fails at the retrieval stage
+                                                    docs_dir, tmp_path, capsys,
+                                                    monkeypatch):
+        # a search backend that always fails: every utterance fails at
+        # the retrieval stage
+        def broken_search(index, query, k):
+            raise RuntimeError("index offline")
+
+        monkeypatch.setattr(orchestrator, "search", broken_search)
         cache = tmp_path / "small.tvix"
         assert main(["index", "build", "--docs-dir", str(docs_dir),
                      "--cache", str(cache), "--dim", "64"]) == EXIT_OK
@@ -168,6 +174,31 @@ class TestBenchRun:
         assert all("rag:" in row["error"] for row in rows)
         assert (out_dir / "summary_table.txt").read_text(
             encoding="utf-8") == "no successful runs\n"
+
+    def test_cache_at_another_dimension_than_the_config(self, manifest_path,
+                                                        docs_dir, tmp_path):
+        # the config keeps the default 256 dims; queries follow the
+        # 64-dim cache
+        cfg = tmp_path / "scaled.cfg"
+        cfg.write_text("time_scale = 0.01\n", encoding="utf-8")
+        cache = tmp_path / "small.tvix"
+        assert main(["index", "build", "--docs-dir", str(docs_dir),
+                     "--cache", str(cache), "--dim", "64"]) == EXIT_OK
+        out_dir = tmp_path / "report"
+        code = main(["bench", "run", "--manifest", str(manifest_path),
+                     "--cache", str(cache), "--out-dir", str(out_dir),
+                     "--config", str(cfg)])
+        assert code == EXIT_OK
+
+    def test_duplicate_id_is_an_input_error(self, docs_dir, tmp_path,
+                                            config_path, capsys):
+        bad = tmp_path / "twice.jsonl"
+        write_manifest([UtteranceRecord("u0", 3.0, "first question"),
+                        UtteranceRecord("u0", 4.0, "second question")], bad)
+        code, out_dir = self.run_bench(bad, docs_dir, tmp_path, config_path)
+        assert code == EXIT_USAGE
+        assert "line 3: duplicate id 'u0', first on line 2" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_invalid_record_is_an_input_error(self, docs_dir, tmp_path,
                                               config_path, capsys):

@@ -120,14 +120,14 @@ class TestLoadErrors:
 
     def record_line(self, tmp_path, **fields):
         """A manifest whose line 2 is a good record and line 3 the same
-        record with ``fields`` replaced."""
+        record under id ``utt-1`` with ``fields`` replaced."""
         good = {"id": "utt-0", "audio_duration_s": 3.0,
                 "reference_transcript": "ok", "speaker_tag": "",
                 "expected_doc_id": None}
         return self.write_lines(
             tmp_path,
             [json.dumps({"format": MANIFEST_FORMAT, "version": 1}),
-             json.dumps(good), json.dumps({**good, **fields})])
+             json.dumps(good), json.dumps({**good, "id": "utt-1", **fields})])
 
     @pytest.mark.parametrize("fields, named", [
         ({"audio_duration_s": "6.3"}, "audio_duration_s"),
@@ -156,6 +156,12 @@ class TestLoadErrors:
                                                        problem):
         path = self.record_line(tmp_path, **fields)
         with pytest.raises(ManifestFormatError, match="line 3: " + problem):
+            load_manifest(path)
+
+    def test_duplicate_id_names_both_lines(self, tmp_path):
+        path = self.record_line(tmp_path, id="utt-0")
+        with pytest.raises(ManifestFormatError,
+                           match="line 3: duplicate id 'utt-0', first on line 2$"):
             load_manifest(path)
 
     def test_integer_duration_loads_as_a_float(self, tmp_path):

@@ -14,6 +14,7 @@ import pytest
 from voxbench import orchestrator, stages
 from voxbench.config import PipelineConfig
 from voxbench.orchestrator import run_dataset, run_utterance
+from voxbench.retrieval import embed, search
 from voxbench.stages import StageSet, TokenEvent, build_simulated_stages
 from voxbench.types import AudioSegment, UtteranceRecord, timings_violations
 
@@ -165,6 +166,17 @@ class TestRunUtteranceHappyPath:
         assert [s.index for s in result.sentences] == list(range(8))
         assert [g.sentence_index for g in result.segments] == list(range(8))
 
+    def test_query_dimension_comes_from_the_index(self, fast_config,
+                                                  small_index):
+        # fast_config says 64 dims; the index was built at 256
+        result = run_utterance(utterance(), fast_config, small_index,
+                               fresh_stages(fast_config))
+        assert not result.failed, result.error
+        text = utterance().reference_transcript
+        expected = search(small_index, embed(text, small_index.dim),
+                          fast_config.retrieval_k)
+        assert result.retrieved == tuple(expected)
+
     def test_invalid_utterance_raises(self, fast_config, fast_index):
         bad = UtteranceRecord("u", -1.0, "text")
         with pytest.raises(ValueError, match="invalid utterance"):
@@ -265,6 +277,19 @@ class TestFailurePaths:
         assert result.error == "asr: decoder missing"
         assert math.isnan(result.timings.asr_s)
         assert result.prompt == ""
+
+    def test_rag_failure_keeps_the_finished_asr_time(self, fast_config,
+                                                     fast_index, monkeypatch):
+        def broken_search(index, query, k):
+            raise RuntimeError("index offline")
+
+        monkeypatch.setattr(orchestrator, "search", broken_search)
+        result = run_utterance(utterance(), fast_config, fast_index,
+                               fresh_stages(fast_config))
+        assert result.failed
+        assert result.error == "rag: index offline"
+        assert result.timings.asr_s > 0
+        assert math.isnan(result.timings.rag_s)
 
     def test_failed_run_never_wedges(self, fast_config, fast_index):
         import time

@@ -7,6 +7,7 @@ import pytest
 from voxbench.config import PipelineConfig
 from voxbench.errors import GenerationAbortedError
 from voxbench.retrieval import Document, VectorIndex
+from voxbench.segmenter import SentenceSegmenter
 from voxbench.stages import (
     COLD_START_MULTIPLIER,
     LEAD_SENTENCE_WORDS,
@@ -239,6 +240,17 @@ class TestMakeResponse:
         assert len(oracle_sentences(response)) == 3
         assert "strength." not in response
         assert "night!" not in response
+        # all seven boundary characters, inside words and ending them
+        doc = Document("doc-mix", 'v1.2 wh?y no!w "quo"te it\'s f(x) a[0] end.") '
+                                  "Wait?! 'ok.'] done.")
+        response = make_response("p", [("doc-mix", 0.9)],
+                                 VectorIndex.from_documents([doc], 32), 3)
+        segmenter = SentenceSegmenter()
+        sentences = [s.text for s in segmenter.feed(response, 0.0)]
+        sentences.append(segmenter.flush(0.0).text)
+        assert len(sentences) == len(oracle_sentences(response)) == 3
+        assert not set("?!\"')]") & set(response)
+        assert all(s.count(".") == 1 and s.endswith(".") for s in sentences)
 
     def test_fallback_reply_has_the_same_shape(self):
         response = make_response("p", [], self.index(), 2)
