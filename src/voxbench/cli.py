@@ -22,6 +22,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 from .config import CONFIG_ENV_VAR, resolve_config
 from .errors import (
@@ -53,6 +54,17 @@ _USAGE_ERRORS = (ConfigError, ManifestFormatError, EmptyCorpusError,
                  CorpusIOError, CacheFormatError, FileNotFoundError)
 
 
+def _positive(kind: type) -> Callable[[str], int | float]:
+    """An argparse ``type`` that parses ``kind`` and rejects values not > 0."""
+    def parse(text: str) -> int | float:
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="voxbench",
@@ -63,8 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     dataset_sub = dataset.add_subparsers(dest="command", required=True)
     synth = dataset_sub.add_parser(
         "synth", help="fabricate a manifest grounded in a document corpus")
-    synth.add_argument("--count", type=int, default=500, help="utterances to generate")
-    synth.add_argument("--mean-duration", type=float, default=6.36,
+    synth.add_argument("--count", type=_positive(int), default=500,
+                       help="utterances to generate")
+    synth.add_argument("--mean-duration", type=_positive(float), default=6.36,
                        help="mean utterance duration in seconds")
     synth.add_argument("--docs-dir", required=True, help="directory of *.txt documents")
     synth.add_argument("--seed", type=int, default=42)
@@ -75,11 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
     build = index_sub.add_parser("build", help="embed a corpus into an index cache")
     build.add_argument("--docs-dir", required=True)
     build.add_argument("--cache", required=True, help="index cache path to write")
-    build.add_argument("--dim", type=int, default=256)
+    build.add_argument("--dim", type=_positive(int), default=256)
     query = index_sub.add_parser("query", help="search an index cache")
     query.add_argument("--cache", required=True)
     query.add_argument("--query", required=True, help="query text")
-    query.add_argument("--k", type=int, default=3)
+    query.add_argument("--k", type=_positive(int), default=3)
 
     bench = top.add_parser("bench", help="benchmark tools")
     bench_sub = bench.add_subparsers(dest="command", required=True)

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import ManifestFormatError
-from .retrieval import load_documents
+from .retrieval import corpus_paths, read_document
 from .types import UtteranceRecord, utterance_violations
 
 MANIFEST_FORMAT = "voxbench-manifest"
@@ -127,33 +127,40 @@ def synthesize_manifest(count: int, mean_duration_s: float,
     transcript is a question template over words sampled from one
     document, and expected_doc_id names that document. Same seed, same
     corpus: byte-identical manifests.
+
+    Documents are drawn from ``corpus_paths(docs_dir)`` and only the drawn
+    ones are read, each once, so at most ``count`` files are opened and a
+    file that is never drawn is never read.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if not mean_duration_s > 0.0:
         raise ValueError(f"mean_duration_s must be > 0, got {mean_duration_s}")
-    docs = load_documents(docs_dir)
+    paths = corpus_paths(docs_dir)
     rng = random.Random(seed)
     mu = math.log(mean_duration_s) - DURATION_SIGMA ** 2 / 2.0
     width = len(str(count - 1))
     records: list[UtteranceRecord] = []
-    # Each document is tokenized on first use only: a small corpus is
-    # drawn from hundreds of times, a large one mostly once per document.
-    words: dict[str, list[str]] = {}
+    # doc_id and words of each drawn position in ``paths``, read and
+    # tokenized once: a small corpus is drawn from hundreds of times, a
+    # large one mostly once per document.
+    drawn: dict[int, tuple[str, list[str]]] = {}
     for i in range(count):
-        doc = docs[rng.randrange(len(docs))]
+        pick = rng.randrange(len(paths))
         duration = min(max(rng.lognormvariate(mu, DURATION_SIGMA), DURATION_MIN_S),
                        DURATION_MAX_S)
-        if doc.doc_id not in words:
-            words[doc.doc_id] = _words(doc.text)
-        sampled = " ".join(_question_words(words[doc.doc_id], rng))
-        transcript = (f"Regarding {doc.doc_id}, can you explain how "
+        if pick not in drawn:
+            doc = read_document(paths[pick])
+            drawn[pick] = doc.doc_id, _words(doc.text)
+        doc_id, words = drawn[pick]
+        sampled = " ".join(_question_words(words, rng))
+        transcript = (f"Regarding {doc_id}, can you explain how "
                       f"{sampled} should be handled?")
         records.append(UtteranceRecord(
             id=f"utt-{i:0{width}d}",
             audio_duration_s=round(duration, 3),
             reference_transcript=transcript,
             speaker_tag=f"speaker-{'ab'[i % 2]}",
-            expected_doc_id=doc.doc_id,
+            expected_doc_id=doc_id,
         ))
     return records

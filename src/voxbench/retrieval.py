@@ -33,8 +33,9 @@ import os
 import shutil
 import struct
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -57,6 +58,12 @@ _NORM_TOL = 1e-6
 # save_index streams through a 1 MiB buffer: a few dozen system calls
 # for a 50 MB cache and no whole-file copy in memory.
 _WRITE_BUFFER = 1 << 20
+# from_documents counts this many matrix cells per bincount (1 MiB of
+# int64 counts, 512 rows at dim 256): few enough calls to amortise, and
+# temporaries that stay a small fraction of the matrix.
+_CHUNK_CELLS = 1 << 17
+# A corpus file is read in pieces of this size; most fit in one.
+_READ_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -66,9 +73,23 @@ class Document:
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def _token_bucket(token: str, dim: int) -> int:
+def _token_bucket(dim: int, token: str) -> int:
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little") % dim
+
+
+class _BucketMemo(dict):
+    """token -> bucket at one dim for one index build: each distinct token
+    goes through _token_bucket once, however often it occurs and however
+    many distinct tokens the corpus has."""
+
+    def __init__(self, dim: int) -> None:
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, token: str) -> int:
+        self[token] = bucket = _token_bucket(self.dim, token)
+        return bucket
 
 
 def _check_dim(dim: int) -> None:
@@ -76,11 +97,11 @@ def _check_dim(dim: int) -> None:
         raise ValueError(f"dim must be >= 1, got {dim}")
 
 
-def _bucket_counts(text: str, dim: int) -> np.ndarray:
-    """Count ``text``'s tokens per bucket; text with no tokens counts
-    once in bucket 0."""
-    buckets = [_token_bucket(token, dim) for token in text.lower().split()]
-    return np.bincount(buckets or [0], minlength=dim)
+def _bucket_ids(text: str, buckets: Callable[[list[str]], Iterable[int]]) -> list[int]:
+    """The tokenize rule shared by embed and from_documents: ``buckets``
+    maps ``text``'s lowercased, whitespace-split tokens to their buckets,
+    and a text with no tokens counts once in bucket 0."""
+    return list(buckets(text.lower().split())) or [0]
 
 
 def embed(text: str, dim: int) -> np.ndarray:
@@ -90,7 +111,10 @@ def embed(text: str, dim: int) -> np.ndarray:
     the first basis vector so every embedding has unit norm.
     """
     _check_dim(dim)
-    vec = _bucket_counts(text, dim).astype(np.float64)
+    # map over two iterables calls the cached _token_bucket(dim, token)
+    # with no wrapper per token.
+    ids = _bucket_ids(text, functools.partial(map, _token_bucket, repeat(dim)))
+    vec = np.bincount(ids, minlength=dim).astype(np.float64)
     vec /= math.sqrt(vec @ vec)
     return vec
 
@@ -158,12 +182,24 @@ class VectorIndex:
     @classmethod
     def from_documents(cls, documents: Iterable[Document], dim: int) -> "VectorIndex":
         """Embed each document straight into its row of the index matrix;
-        every row is bit-identical to ``embed(doc.text, dim)``."""
+        every row is bit-identical to ``embed(doc.text, dim)``.
+
+        Each distinct token is hashed once per build, and the rows are
+        counted a chunk at a time with one bincount over row-offset
+        bucket ids.
+        """
         _check_dim(dim)
         docs = list(documents)
         matrix = np.empty((len(docs), dim), dtype=np.float64)
-        for row, doc in zip(matrix, docs):
-            row[:] = _bucket_counts(doc.text, dim)
+        buckets = functools.partial(map, _BucketMemo(dim).__getitem__)
+        step = max(1, _CHUNK_CELLS // dim)
+        for start in range(0, len(docs), step):
+            ids = [_bucket_ids(doc.text, buckets) for doc in docs[start:start + step]]
+            rows, lengths = len(ids), list(map(len, ids))
+            flat = np.fromiter(chain.from_iterable(ids), dtype=np.intp, count=sum(lengths))
+            flat += np.repeat(np.arange(0, rows * dim, dim), lengths)
+            matrix[start:start + rows] = np.bincount(
+                flat, minlength=rows * dim).reshape(rows, dim)
         # Counts, their sums of squares and sqrt are exact, so dividing by
         # these norms gives the same bits as embed() does row by row.
         matrix /= np.sqrt(np.einsum("ij,ij->i", matrix, matrix))[:, np.newaxis]
@@ -171,25 +207,60 @@ class VectorIndex:
                               {d.doc_id: d for d in docs})
 
 
-def load_documents(docs_dir: str | Path) -> list[Document]:
-    """Read every ``*.txt`` under ``docs_dir`` as a document.
+def _doc_id(name: str) -> str:
+    # As Path(name).stem: a file named just ".txt" keeps its whole name.
+    return name.removesuffix(".txt") or name
 
-    The doc_id is the file stem; documents come back sorted by doc_id so
-    downstream artifacts are byte-reproducible.
+
+def corpus_paths(docs_dir: str | Path) -> list[str]:
+    """List the corpus under ``docs_dir`` without reading it.
+
+    Every entry whose name ends in ``.txt`` is a document, dotfiles
+    included, matched case-sensitively; its doc_id is the name without
+    that suffix. Paths come back sorted by doc_id so downstream
+    artifacts are byte-reproducible.
     """
     root = Path(docs_dir)
     if not root.is_dir():
         raise EmptyCorpusError(f"document directory {root} does not exist")
-    docs: list[Document] = []
-    for path in sorted(root.glob("*.txt"), key=lambda p: p.stem):
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CorpusIOError(f"cannot read corpus file {path}: {exc}") from exc
-        docs.append(Document(doc_id=path.stem, text=text))
-    if not docs:
+    try:
+        names = [name for name in os.listdir(root) if name.endswith(".txt")]
+    except OSError as exc:
+        raise CorpusIOError(f"cannot list corpus directory {root}: {exc}") from exc
+    if not names:
         raise EmptyCorpusError(f"no *.txt documents found under {root}")
-    return docs
+    names.sort(key=_doc_id)
+    return [os.path.join(root, name) for name in names]
+
+
+def read_document(path: str) -> Document:
+    """Read one corpus file as ``Path.read_text(encoding="utf-8")`` does:
+    CRLF and lone CR become ``\\n`` and a byte order mark stays ``\\ufeff``.
+
+    The bytes are read with plain ``os.read`` calls: on a corpus of small
+    files that takes about a third less time than a file object does.
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            pieces = []
+            while piece := os.read(fd, _READ_SIZE):
+                pieces.append(piece)
+        finally:
+            os.close(fd)
+        text = b"".join(pieces).decode("utf-8")
+    except OSError as exc:
+        raise CorpusIOError(f"cannot read corpus file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorpusIOError(f"corpus file {path} is not valid UTF-8: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return Document(doc_id=_doc_id(os.path.basename(path)), text=text)
+
+
+def load_documents(docs_dir: str | Path) -> list[Document]:
+    """Read every document of ``corpus_paths(docs_dir)``, in its order."""
+    return [read_document(path) for path in corpus_paths(docs_dir)]
 
 
 def build_index(docs_dir: str | Path, dim: int) -> VectorIndex:

@@ -12,7 +12,7 @@ from voxbench import orchestrator
 from voxbench.cli import CSV_COLUMNS, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from voxbench.config import CONFIG_ENV_VAR
 from voxbench.manifest import load_manifest, synthesize_manifest, write_manifest
-from voxbench.retrieval import load_index
+from voxbench.retrieval import load_index, save_index
 from voxbench.types import UtteranceRecord
 
 FAST_CONFIG = """\
@@ -100,6 +100,18 @@ class TestIndexCommands:
         code = main(["index", "query", "--cache", str(cache), "--query", "x"])
         assert code == EXIT_USAGE
         assert str(cache) in capsys.readouterr().err
+
+
+    def test_build_over_invalid_utf8_is_an_input_error(self, tmp_path, capsys):
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "good.txt").write_text("fine text", encoding="utf-8")
+        (docs / "bad.txt").write_bytes(b"caf\xe9 latin-1")
+        code = main(["index", "build", "--docs-dir", str(docs),
+                     "--cache", str(tmp_path / "index.tvix")])
+        assert code == EXIT_USAGE
+        assert str(docs / "bad.txt") in capsys.readouterr().err
+        assert not (tmp_path / "index.tvix").exists()
 
 
 class TestBenchRun:
@@ -301,6 +313,21 @@ class TestArgparseExits:
 
     def test_missing_required_flag_exits_one(self):
         assert main(["index", "build", "--docs-dir", "x"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["index", "query", "--cache", "{cache}", "--query", "x"], "--k"),
+        (["index", "build", "--docs-dir", "{docs}", "--cache", "{out}"], "--dim"),
+        (["dataset", "synth", "--docs-dir", "{docs}", "--out", "{out}"], "--count"),
+        (["dataset", "synth", "--docs-dir", "{docs}", "--out", "{out}"], "--mean-duration"),
+    ])
+    def test_out_of_range_number_exits_one(self, small_index, docs_dir, tmp_path, capsys,
+                                           argv, flag):
+        cache, out = tmp_path / "index.tvix", tmp_path / "out"
+        save_index(small_index, cache)
+        argv = [a.format(docs=docs_dir, cache=cache, out=out) for a in argv] + [flag, "0"]
+        assert main(argv) == EXIT_USAGE
+        assert f"argument {flag}: must be > 0, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_installed_entry_point_responds():

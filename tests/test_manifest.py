@@ -3,21 +3,47 @@
 import hashlib
 import json
 import math
+import random
+import re
 import statistics
 
 import pytest
 
-from voxbench.errors import ManifestFormatError
+from voxbench.errors import CorpusIOError, ManifestFormatError
 from voxbench.manifest import (
     DURATION_MAX_S,
     DURATION_MIN_S,
+    DURATION_SIGMA,
     MANIFEST_FORMAT,
     MANIFEST_VERSION,
+    _question_words,
+    _words,
     load_manifest,
     synthesize_manifest,
     write_manifest,
 )
+from voxbench.retrieval import corpus_paths, load_documents
 from voxbench.types import UtteranceRecord
+
+
+def reference_synthesize(count, mean_duration_s, docs_dir, seed):
+    """Reference synthesis: load the whole corpus first, then draw from
+    that list with the same random calls."""
+    docs = load_documents(docs_dir)
+    rng = random.Random(seed)
+    mu = math.log(mean_duration_s) - DURATION_SIGMA ** 2 / 2.0
+    width = len(str(count - 1))
+    records = []
+    for i in range(count):
+        doc = docs[rng.randrange(len(docs))]
+        duration = min(max(rng.lognormvariate(mu, DURATION_SIGMA), DURATION_MIN_S),
+                       DURATION_MAX_S)
+        sampled = " ".join(_question_words(_words(doc.text), rng))
+        records.append(UtteranceRecord(
+            f"utt-{i:0{width}d}", round(duration, 3),
+            f"Regarding {doc.doc_id}, can you explain how {sampled} should be handled?",
+            f"speaker-{'ab'[i % 2]}", doc.doc_id))
+    return records
 
 
 def sample_records():
@@ -218,6 +244,38 @@ class TestSynthesize:
         write_manifest(synthesize_manifest(400, 6.36, docs_dir, seed=5), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "6a42a9d37347b3de57a256b1802be71c9c88692deba423be67c201cbb4830c3f")
+
+    @staticmethod
+    def edge_corpus(root):
+        """Names whose stem order differs from their name order, a dotfile,
+        a file named just ``.txt``, an ignored ``.TXT``, and a document
+        with no words."""
+        root.mkdir()
+        bodies = {"a.txt": "alpha bravo charlie", "a-b.txt": "delta echo\r\nfoxtrot",
+                  "a.b.txt": "golf hotel", ".hidden.txt": "india juliet kilo",
+                  ".txt": "lima mike", "b.txt": "-- ?! ...", "C.TXT": "never listed"}
+        for name, body in bodies.items():
+            (root / name).write_text(body, encoding="utf-8")
+        return root
+
+    def test_drawing_lazily_matches_drawing_from_the_loaded_corpus(self, tmp_path):
+        docs = self.edge_corpus(tmp_path / "docs")
+        for seed in range(5):
+            got = synthesize_manifest(60, 6.36, docs, seed)
+            assert got == reference_synthesize(60, 6.36, docs, seed)
+        drawn = {r.expected_doc_id for r in got}
+        assert drawn == {"a", "a-b", "a.b", ".hidden", ".txt", "b"}
+
+    def test_only_drawn_documents_are_read(self, tmp_path):
+        docs = self.edge_corpus(tmp_path / "docs")
+        (docs / "zz-bad.txt").write_bytes(b"caf\xe9 latin-1")
+        n = len(corpus_paths(docs))
+        # Seed 1's first draw is not the last file, zz-bad; with 200 draws
+        # every file is drawn.
+        assert random.Random(1).randrange(n) != n - 1
+        assert synthesize_manifest(1, 6.36, docs, seed=1)
+        with pytest.raises(CorpusIOError, match=re.escape(str(docs / "zz-bad.txt"))):
+            synthesize_manifest(200, 6.36, docs, seed=1)
 
     def test_input_validation(self, docs_dir):
         with pytest.raises(ValueError):

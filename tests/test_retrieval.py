@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from voxbench.errors import (
     CacheFormatError,
     CacheVersionError,
+    CorpusIOError,
     DimensionMismatchError,
     EmptyCorpusError,
     UnknownDocumentError,
@@ -177,6 +178,42 @@ class TestLoadDocuments:
     def test_directory_without_txt_files(self, tmp_path):
         (tmp_path / "x.md").write_text("nope", encoding="utf-8")
         with pytest.raises(EmptyCorpusError):
+            load_documents(tmp_path)
+
+    # Each case maps entry names to file bytes (None makes a directory) and
+    # gives the (doc_id, text) pairs that Path.glob("*.txt") sorted by stem
+    # and read_text(encoding="utf-8") yield, or the error they lead to.
+    @pytest.mark.parametrize("entries, want", [
+        pytest.param({"a.txt": b"one\r\ntwo\rthree\r\r\nfour\n"},
+                     [("a", "one\ntwo\nthree\n\nfour\n")], id="crlf-and-lone-cr"),
+        pytest.param({"a.txt": b"\xef\xbb\xbfbom first"}, [("a", "\ufeffbom first")],
+                     id="bom-kept"),
+        pytest.param({"z.txt": b"z", ".txt": b"bare", ".hidden.txt": b"h"},
+                     [(".hidden", "h"), (".txt", "bare"), ("z", "z")], id="dotfiles"),
+        pytest.param({"A.TXT": b"upper", "b.txt": b"b"}, [("b", "b")],
+                     id="suffix-is-case-sensitive"),
+        pytest.param({"a-b.txt": b"ab", "a.txt": b"a"}, [("a", "a"), ("a-b", "ab")],
+                     id="sorted-by-stem-not-name"),
+        pytest.param({"a.txt": b"a", "sub.txt": None}, CorpusIOError,
+                     id="directory-named-txt"),
+    ])
+    def test_listing_and_decoding_rules(self, tmp_path, entries, want):
+        for name, data in entries.items():
+            if data is None:
+                (tmp_path / name).mkdir()
+            else:
+                (tmp_path / name).write_bytes(data)
+        if isinstance(want, list):
+            assert [(d.doc_id, d.text) for d in load_documents(tmp_path)] == want
+        else:
+            with pytest.raises(want, match=re.escape(str(tmp_path / "sub.txt"))):
+                load_documents(tmp_path)
+
+    def test_invalid_utf8_names_the_file(self, tmp_path):
+        (tmp_path / "good.txt").write_text("fine", encoding="utf-8")
+        (tmp_path / "bad.txt").write_bytes(b"caf\xe9 latin-1")
+        with pytest.raises(CorpusIOError,
+                           match=re.escape(str(tmp_path / "bad.txt")) + ".*UTF-8"):
             load_documents(tmp_path)
 
 
