@@ -22,12 +22,6 @@ from .errors import ConfigError, ConfigFileError
 # invoked without --config.
 CONFIG_ENV_VAR = "VOXBENCH_CONFIG"
 
-_INT_FIELDS = frozenset(
-    {"llm_tokens_per_sec", "queue_capacity", "retrieval_k", "embed_dim",
-     "rng_seed", "response_sentences"}
-)
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Tunable knobs for one benchmark run.
@@ -91,6 +85,12 @@ class PipelineConfig:
         problems = self.violations()
         if problems:
             raise ConfigError("invalid config: " + "; ".join(problems))
+
+
+# Fields parsed and written as integers. Annotations are strings here, as
+# this module postpones their evaluation.
+_INT_FIELDS = frozenset(f.name for f in dataclasses.fields(PipelineConfig)
+                        if f.type in (int, "int"))
 
 
 def parse_config_text(text: str) -> PipelineConfig:

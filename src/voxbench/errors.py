@@ -30,7 +30,8 @@ class EmptyCorpusError(VoxbenchError):
 
 
 class CorpusIOError(VoxbenchError):
-    """A corpus file exists but could not be read; message names the file."""
+    """A corpus file exists but could not be read, or two files share a
+    doc_id; the message names the files."""
 
 
 class UnknownDocumentError(VoxbenchError):

@@ -1,6 +1,8 @@
 """End-to-end pipeline orchestration for one utterance or a dataset.
 
-Schedule for one utterance:
+``run_utterance`` is one straight-line coordinator. Each phase runs only
+if no earlier one failed, the run's state lives in its locals, and one
+result is built at the end on every path. Schedule for one utterance:
 
 1. Transcribe the full utterance up front (serial).
 2. Embed the transcript, search the index, assemble the prompt. The
@@ -14,8 +16,10 @@ Schedule for one utterance:
    calling thread: stream the reply through the sentence segmenter,
    encode and enqueue each completed sentence, then flush. Stages return
    content only; every instant of the run is stamped here from the epoch.
-5. Enqueue exactly one end-of-stream frame, join the consumer and
-   assemble the timing record.
+5. Enqueue exactly one end-of-stream frame and join the consumer.
+6. Assemble the result. A failed run keeps the ASR and retrieval times
+   it reached, the time to the failure and its sentence count; every
+   other timing column is NaN.
 
 The consumer starts before generation, so the first sentence is
 synthesized the moment it is emitted and synthesis of sentence i overlaps
@@ -24,13 +28,14 @@ generation of sentences i+1 and later.
 One real-time deadline, ``_JOIN_GRACE_S`` after retrieval ends, bounds
 every wait: the warmup, each ``put`` and ``get`` on the channel, and the
 consumer join. No wait wakes up early to check a flag, because two rules
-hold on every path. The stream always ends: the coordinator enqueues the
-end-of-stream frame after a failure too. The consumer always reads to
-that frame: once either side has failed it stops synthesizing but keeps
-draining, so a producer blocked on a full channel is freed at once. The
-side that fails first sets a shared flag, which the producer checks, with
-the deadline, at every token. A run with any failure is marked failed. A
-``generate`` call that never returns is not bounded.
+hold on every path that starts the consumer. The stream always ends: the
+coordinator enqueues the end-of-stream frame after a failure too. The
+consumer always reads to that frame: once either side has failed it stops
+synthesizing but keeps draining, so a producer blocked on a full channel
+is freed at once. The side that fails first sets a shared flag, which the
+producer checks, with the deadline, at every token. A run with any
+failure is marked failed. A ``generate`` call that never returns is not
+bounded.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import queue
 import random
 import threading
 from contextlib import suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from . import metrics
@@ -88,32 +93,6 @@ class UtteranceResult:
     consumer_saw_eos: int
 
 
-@dataclass
-class _RunState:
-    """Mutable scratch shared by the coordinator and its worker."""
-
-    sentences: list[Sentence] = field(default_factory=list)
-    segments: list[AudioSegment] = field(default_factory=list)
-    failures: list[tuple[str, str]] = field(default_factory=list)
-    response: str = ""
-    ttft_s: float = math.nan
-    token_count: int = 0
-    llm_elapsed_s: float = math.nan
-    warmup_completed_at_s: float = math.nan
-    epoch_real: float = math.nan
-    llm_epoch_at_s: float = math.nan
-    eos_sent: int = 0
-    consumer_saw_eos: int = 0
-
-
-def _nan_timings(utterance: UtteranceRecord) -> StageTimings:
-    n = math.nan
-    return StageTimings(utterance_id=utterance.id, asr_s=n, rag_s=n, llm_s=n,
-                        tts_s=n, total_s=n, asr_words_per_sec=n,
-                        llm_tokens_per_sec_obs=n, asr_rtf_obs=n, ttft_s=n,
-                        ttfa_s=n, cosine_similarity=n, sentence_count=0)
-
-
 def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
                   index: VectorIndex, stages: StageSet) -> UtteranceResult:
     """Run the full pipeline for one utterance; never raises for stage
@@ -130,48 +109,58 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
     def run_elapsed() -> float:
         return (clock.now() - run_start) / scale
 
-    state = _RunState()
+    failures: list[tuple[str, str]] = []
+    sentences: list[Sentence] = []
+    segments: list[AudioSegment] = []
+    prompt = response = ""
+    retrieved: Sequence[tuple[str, float]] = ()
+    asr_s = rag_s = llm_s = ttft_s = math.nan
+    warmup_completed_at_s = epoch = llm_epoch_at_s = math.nan
+    token_count = eos_sent = consumer_saw_eos = 0
 
     # 1. Upfront transcription, serial.
     try:
         transcript = stages.asr.transcribe(utterance)
+        asr_s = transcript.asr_elapsed_s
     except Exception as exc:
-        state.failures.append(("asr", str(exc)))
-        return _failed_result(utterance, state, run_elapsed())
+        failures.append(("asr", str(exc)))
 
     # 2. Retrieval: real embed/search/prompt work plus modeled backend
     # latency. The real work is measured in real (unscaled) seconds; only
     # modeled delays participate in time scaling.
-    try:
-        rag_begin = clock.now()
-        query_vec = embed(transcript.text, index.dim)
-        retrieved = search(index, query_vec, config.retrieval_k)
-        prompt = build_prompt(transcript.text, retrieved, index)
-        compute_s = clock.now() - rag_begin
-        rag_s = compute_s + clock.pause(config.rag_latency_s * clock.jitter(config.jitter_frac))
-    except Exception as exc:
-        state.failures.append(("rag", str(exc)))
-        return _failed_result(utterance, state, run_elapsed(),
-                              asr_s=transcript.asr_elapsed_s)
+    if not failures:
+        try:
+            rag_begin = clock.now()
+            query_vec = embed(transcript.text, index.dim)
+            hits = search(index, query_vec, config.retrieval_k)
+            text = build_prompt(transcript.text, hits, index)
+            compute_s = clock.now() - rag_begin
+            rag_s = compute_s + clock.pause(
+                config.rag_latency_s * clock.jitter(config.jitter_frac))
+            retrieved, prompt = hits, text  # reported only once retrieval finished
+        except Exception as exc:
+            failures.append(("rag", str(exc)))
 
     frames: queue.Queue[bytes] = queue.Queue(maxsize=config.queue_capacity)
     failed = threading.Event()
     warmup_done = threading.Event()
+    segmenter = SentenceSegmenter()
 
     def fail(stage: str, message: str) -> None:
-        state.failures.append((stage, message))
+        failures.append((stage, message))
         failed.set()
 
     def left() -> float:
         return max(0.0, deadline - clock.now())
 
     def llm_elapsed() -> float:
-        return (clock.now() - state.epoch_real) / scale
+        return (clock.now() - epoch) / scale
 
     def consume() -> None:
+        nonlocal warmup_completed_at_s, consumer_saw_eos
         try:
             stages.tts.warmup()
-            state.warmup_completed_at_s = run_elapsed()
+            warmup_completed_at_s = run_elapsed()
         except Exception as exc:
             fail("tts", str(exc))
         finally:
@@ -185,124 +174,99 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
             try:
                 frame, _ = decode_frame(data)
                 if frame.kind == KIND_END:
-                    state.consumer_saw_eos += 1
+                    consumer_saw_eos += 1
                     return
                 if not failed.is_set():  # after a failure, only drain
                     segment = stages.tts.synthesize(frame_to_sentence(frame))
-                    state.segments.append(replace(segment, completed_at_s=llm_elapsed()))
+                    segments.append(replace(segment, completed_at_s=llm_elapsed()))
             except Exception as exc:
                 fail("tts", str(exc))
 
-    def produce(response: str) -> None:
+    def ship(sentence: Sentence) -> None:
+        sentences.append(sentence)
         try:
-            state.response = response
-            segmenter = SentenceSegmenter()
+            frames.put(encode_frame(sentence), timeout=left())
+        except queue.Full:
+            raise GenerationAbortedError("channel still full at the deadline") from None
 
-            def ship(sentence: Sentence) -> None:
-                state.sentences.append(sentence)
-                try:
-                    frames.put(encode_frame(sentence), timeout=left())
-                except queue.Full:
-                    raise GenerationAbortedError("channel still full at the deadline") from None
+    def sink(event: TokenEvent) -> None:
+        nonlocal token_count, ttft_s
+        now = clock.now()
+        if failed.is_set() or now > deadline:
+            raise GenerationAbortedError("token after a failure or the deadline")
+        at_s = (now - epoch) / scale
+        token_count += 1
+        if event.text and math.isnan(ttft_s):
+            ttft_s = at_s
+        for sentence in segmenter.feed(event.text, at_s):
+            ship(sentence)
 
-            def sink(event: TokenEvent) -> None:
-                now = clock.now()
-                if failed.is_set() or now > deadline:
-                    raise GenerationAbortedError("token after a failure or the deadline")
-                at_s = (now - state.epoch_real) / scale
-                state.token_count += 1
-                if event.text and math.isnan(state.ttft_s):
-                    state.ttft_s = at_s
-                for sentence in segmenter.feed(event.text, at_s):
-                    ship(sentence)
-
-            state.epoch_real = clock.now()
-            state.llm_epoch_at_s = (state.epoch_real - run_start) / scale
-            stages.llm.generate(prompt, response, sink)
-            state.llm_elapsed_s = llm_elapsed()
-            tail = segmenter.flush(state.llm_elapsed_s)
-            if tail is not None:
-                ship(tail)
+    if not failures:
+        # 3-4. Consumer first, as warmup precedes the epoch; reply made
+        # meanwhile, then generation on this thread.
+        consumer = threading.Thread(target=consume, name=f"tts-{utterance.id}", daemon=True)
+        deadline = clock.now() + _JOIN_GRACE_S
+        consumer.start()
+        try:
+            reply = make_response(prompt, retrieved, index, config.response_sentences)
         except Exception as exc:
             fail("llm", str(exc))
+        if warmup_done.wait(timeout=left()) and not failed.is_set():
+            response = reply
+            try:
+                epoch = clock.now()
+                llm_epoch_at_s = (epoch - run_start) / scale
+                stages.llm.generate(prompt, response, sink)
+                llm_s = llm_elapsed()
+                tail = segmenter.flush(llm_s)
+                if tail is not None:
+                    ship(tail)
+            except Exception as exc:
+                fail("llm", str(exc))
 
-    # 3-4. Consumer first, as warmup precedes the epoch; reply made meanwhile.
-    consumer = threading.Thread(target=consume, name=f"tts-{utterance.id}", daemon=True)
-    deadline = clock.now() + _JOIN_GRACE_S
-    consumer.start()
-    try:
-        response = make_response(prompt, retrieved, index, config.response_sentences)
-    except Exception as exc:
-        fail("llm", str(exc))
-    if warmup_done.wait(timeout=left()) and not failed.is_set():
-        produce(response)
+        # 5. End the stream on every path, so a live consumer always
+        # finishes. A channel still full at the deadline means a stuck
+        # consumer, which the join reports. Before the epoch the frame
+        # carries time 0.0.
+        end_at = 0.0 if math.isnan(epoch) else llm_elapsed()
+        with suppress(queue.Full):
+            frames.put(encode_end(len(sentences), end_at), timeout=left())
+            eos_sent += 1
+        consumer.join(timeout=left())
+        if consumer.is_alive():
+            stuck = "consumer" if warmup_done.is_set() else "warmup"
+            fail("tts", f"{stuck} did not finish in time")
 
-    # 5. End the stream on every path, so a live consumer always finishes.
-    # A channel still full at the deadline means a stuck consumer, which
-    # the join reports. Before the epoch the frame carries time 0.0.
-    end_at = 0.0 if math.isnan(state.epoch_real) else llm_elapsed()
-    with suppress(queue.Full):
-        frames.put(encode_end(len(state.sentences), end_at), timeout=left())
-        state.eos_sent += 1
-    consumer.join(timeout=left())
-    if consumer.is_alive():
-        stuck = "consumer" if warmup_done.is_set() else "warmup"
-        fail("tts", f"{stuck} did not finish in time")
-
-    if state.failures:
-        return _failed_result(utterance, state, run_elapsed(),
-                              asr_s=transcript.asr_elapsed_s, rag_s=rag_s,
-                              prompt=prompt, retrieved=retrieved)
-
-    segments = tuple(state.segments)
-    sentences = tuple(state.sentences)
-    ttfa_s = segments[0].completed_at_s if segments else math.nan
-    last_done = max((s.completed_at_s for s in segments), default=math.nan)
-    total_s = state.llm_epoch_at_s + last_done if segments else run_elapsed()
-    tts_s = math.fsum(s.synth_elapsed_s for s in segments)
-    decode_s = state.llm_elapsed_s - state.ttft_s
-    tok_rate = state.token_count / decode_s if decode_s > 0 else 0.0
-    response_vec = embed(state.response, index.dim)
+    # 6. One result for every path. A failed run reports the phases it
+    # finished (ASR, retrieval), the time to the failure and the sentences
+    # emitted; every other column is NaN.
+    total_s = run_elapsed()
+    tts_s = ttfa_s = asr_wps = tok_rate = asr_rtf = cosine = math.nan
+    if failures:
+        llm_s = ttft_s = math.nan
+    else:
+        if segments:
+            ttfa_s = segments[0].completed_at_s
+            total_s = llm_epoch_at_s + max(s.completed_at_s for s in segments)
+        tts_s = math.fsum(s.synth_elapsed_s for s in segments)
+        decode_s = llm_s - ttft_s
+        tok_rate = token_count / decode_s if decode_s > 0 else 0.0
+        asr_wps = metrics.words_per_sec(transcript.word_count, asr_s)
+        asr_rtf = metrics.rtf(asr_s, utterance.audio_duration_s)
+        cosine = metrics.cosine(query_vec, embed(response, index.dim))
     timings = StageTimings(
-        utterance_id=utterance.id,
-        asr_s=transcript.asr_elapsed_s,
-        rag_s=rag_s,
-        llm_s=state.llm_elapsed_s,
-        tts_s=tts_s,
-        total_s=total_s,
-        asr_words_per_sec=metrics.words_per_sec(transcript.word_count,
-                                                transcript.asr_elapsed_s),
-        llm_tokens_per_sec_obs=tok_rate,
-        asr_rtf_obs=metrics.rtf(transcript.asr_elapsed_s, utterance.audio_duration_s),
-        ttft_s=state.ttft_s,
-        ttfa_s=ttfa_s,
-        cosine_similarity=metrics.cosine(query_vec, response_vec),
-        sentence_count=len(sentences),
+        utterance_id=utterance.id, asr_s=asr_s, rag_s=rag_s, llm_s=llm_s,
+        tts_s=tts_s, total_s=total_s, asr_words_per_sec=asr_wps,
+        llm_tokens_per_sec_obs=tok_rate, asr_rtf_obs=asr_rtf, ttft_s=ttft_s,
+        ttfa_s=ttfa_s, cosine_similarity=cosine, sentence_count=len(sentences),
     )
     return UtteranceResult(
-        timings=timings, sentences=sentences, segments=segments,
-        prompt=prompt, response=state.response, retrieved=tuple(retrieved),
-        failed=False, error=None,
-        warmup_completed_at_s=state.warmup_completed_at_s,
-        llm_epoch_at_s=state.llm_epoch_at_s,
-        eos_sent=state.eos_sent, consumer_saw_eos=state.consumer_saw_eos,
-    )
-
-
-def _failed_result(utterance: UtteranceRecord, state: _RunState, now_s: float,
-                   asr_s: float = math.nan, rag_s: float = math.nan,
-                   prompt: str = "", retrieved: Sequence[tuple[str, float]] = ()
-                   ) -> UtteranceResult:
-    error = "; ".join(f"{stage}: {msg}" for stage, msg in state.failures)
-    timings = replace(_nan_timings(utterance), asr_s=asr_s, rag_s=rag_s,
-                      total_s=now_s, sentence_count=len(state.sentences))
-    return UtteranceResult(
-        timings=timings, sentences=tuple(state.sentences),
-        segments=tuple(state.segments), prompt=prompt, response=state.response,
-        retrieved=tuple(retrieved), failed=True, error=error,
-        warmup_completed_at_s=state.warmup_completed_at_s,
-        llm_epoch_at_s=state.llm_epoch_at_s,
-        eos_sent=state.eos_sent, consumer_saw_eos=state.consumer_saw_eos,
+        timings=timings, sentences=tuple(sentences), segments=tuple(segments),
+        prompt=prompt, response=response, retrieved=tuple(retrieved),
+        failed=bool(failures),
+        error="; ".join(f"{stage}: {msg}" for stage, msg in failures) or None,
+        warmup_completed_at_s=warmup_completed_at_s, llm_epoch_at_s=llm_epoch_at_s,
+        eos_sent=eos_sent, consumer_saw_eos=consumer_saw_eos,
     )
 
 

@@ -218,7 +218,8 @@ def corpus_paths(docs_dir: str | Path) -> list[str]:
     Every entry whose name ends in ``.txt`` is a document, dotfiles
     included, matched case-sensitively; its doc_id is the name without
     that suffix. Paths come back sorted by doc_id so downstream
-    artifacts are byte-reproducible.
+    artifacts are byte-reproducible. Two files with one doc_id (``.txt``
+    and ``.txt.txt``) raise CorpusIOError naming both.
     """
     root = Path(docs_dir)
     if not root.is_dir():
@@ -230,6 +231,10 @@ def corpus_paths(docs_dir: str | Path) -> list[str]:
     if not names:
         raise EmptyCorpusError(f"no *.txt documents found under {root}")
     names.sort(key=_doc_id)
+    for first, second in zip(names, names[1:]):
+        if _doc_id(first) == _doc_id(second):
+            raise CorpusIOError(f"corpus files {first!r} and {second!r} under {root} "
+                                f"share doc_id {_doc_id(first)!r}")
     return [os.path.join(root, name) for name in names]
 
 

@@ -113,6 +113,22 @@ class TestIndexCommands:
         assert str(docs / "bad.txt") in capsys.readouterr().err
         assert not (tmp_path / "index.tvix").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["index", "build", "--cache", "index.tvix"],
+        ["dataset", "synth", "--count", "4", "--out", "m.jsonl"],
+    ], ids=["index-build", "dataset-synth"])
+    def test_two_files_with_one_doc_id_are_an_input_error(self, command, tmp_path,
+                                                          capsys, monkeypatch):
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        for name in (".txt", ".txt.txt"):
+            (docs / name).write_text(f"the words of {name} differ", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(command + ["--docs-dir", str(docs)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "'.txt'" in err and "'.txt.txt'" in err and "doc_id" in err
+        assert not (tmp_path / command[-1]).exists()
+
 
 class TestBenchRun:
     def run_bench(self, manifest_path, docs_dir, tmp_path, config_path,

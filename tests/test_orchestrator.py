@@ -6,7 +6,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -242,6 +242,10 @@ class _BrokenAsr:
         raise RuntimeError("decoder missing")
 
 
+def _offline_search(index, query, k):
+    raise RuntimeError("index offline")
+
+
 class TestFailurePaths:
     def broken_stages(self, config, **kwargs):
         stages = build_simulated_stages(config, seed=3)
@@ -280,10 +284,7 @@ class TestFailurePaths:
 
     def test_rag_failure_keeps_the_finished_asr_time(self, fast_config,
                                                      fast_index, monkeypatch):
-        def broken_search(index, query, k):
-            raise RuntimeError("index offline")
-
-        monkeypatch.setattr(orchestrator, "search", broken_search)
+        monkeypatch.setattr(orchestrator, "search", _offline_search)
         result = run_utterance(utterance(), fast_config, fast_index,
                                fresh_stages(fast_config))
         assert result.failed
@@ -297,6 +298,73 @@ class TestFailurePaths:
         run_utterance(utterance(), fast_config, fast_index,
                       self.broken_stages(fast_config))
         assert time.perf_counter() - start < 10.0
+
+    @pytest.mark.parametrize("way", ["asr", "rag", "warmup", "tts", "llm"])
+    def test_every_field_of_a_failed_result(self, way, fast_config, fast_index,
+                                            monkeypatch):
+        config = replace(fast_config, response_sentences=6)
+        record = utterance()
+        query = embed(record.reference_transcript, fast_index.dim)
+        retrieved = tuple(search(fast_index, query, config.retrieval_k))
+        prompt = orchestrator.build_prompt(record.reference_transcript,
+                                           retrieved, fast_index)
+        response = stages.make_response(prompt, retrieved, fast_index,
+                                        config.response_sentences)
+
+        base = build_simulated_stages(config, seed=3)
+        asr, llm, tts = base.asr, base.llm, base.tts
+        if way == "asr":
+            asr = _BrokenAsr()
+        elif way == "rag":
+            monkeypatch.setattr(orchestrator, "search", _offline_search)
+        elif way == "warmup":
+            tts = _BrokenTts(fail_warmup=True)
+        elif way == "tts":
+            tts = _BrokenTts()
+        else:
+            llm = _FailingLlm(llm, fail_at=40)
+        result = run_utterance(record, config, fast_index,
+                               StageSet(asr=asr, llm=llm, tts=tts, clock=base.clock))
+
+        retrieval_done = way not in ("asr", "rag")
+        generated = way in ("tts", "llm")
+        assert result.failed
+        assert result.error.startswith({
+            "asr": "asr: decoder missing", "rag": "rag: index offline",
+            "warmup": "tts: no synth voice available",
+            "tts": "tts: synth backend crashed",
+            "llm": "llm: sink rejected token event: decoder fault at token 40"}[way])
+        if way != "tts":  # a dead synthesizer also aborts the producer
+            assert ";" not in result.error
+        assert result.prompt == (prompt if retrieval_done else "")
+        assert result.retrieved == (retrieved if retrieval_done else ())
+        assert result.response == (response if generated else "")
+        assert math.isnan(result.warmup_completed_at_s) != generated
+        assert math.isnan(result.llm_epoch_at_s) != generated
+        if generated:
+            assert 0 < result.warmup_completed_at_s < result.llm_epoch_at_s
+        assert result.eos_sent == result.consumer_saw_eos == int(retrieval_done)
+
+        if not generated:
+            assert result.sentences == ()
+        assert [s.index for s in result.sentences] == list(range(len(result.sentences)))
+        assert [g.sentence_index for g in result.segments] == \
+            list(range(len(result.segments)))
+        assert len(result.segments) <= len(result.sentences)
+        if way != "llm":
+            assert result.segments == ()
+
+        timings = result.timings
+        assert timings.utterance_id == record.id
+        assert timings.sentence_count == len(result.sentences)
+        reached = {"total_s"} | ({"asr_s"} if way != "asr" else set()) \
+            | ({"rag_s"} if retrieval_done else set())
+        columns = {f.name for f in fields(timings)
+                   if isinstance(getattr(timings, f.name), float)}
+        assert {c for c in columns if math.isnan(getattr(timings, c))} == \
+            columns - reached
+        assert all(getattr(timings, c) > 0 for c in reached)
+        assert timings_violations(timings) == []
 
 
 class _GatedTts:

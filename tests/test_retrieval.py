@@ -27,6 +27,7 @@ from voxbench.retrieval import (
     _token_bucket,
     build_index,
     build_prompt,
+    corpus_paths,
     embed,
     load_documents,
     load_index,
@@ -215,6 +216,13 @@ class TestLoadDocuments:
         with pytest.raises(CorpusIOError,
                            match=re.escape(str(tmp_path / "bad.txt")) + ".*UTF-8"):
             load_documents(tmp_path)
+
+    def test_two_files_with_one_doc_id_are_rejected(self, tmp_path):
+        # ".txt" keeps its whole name as doc_id, which ".txt.txt" also gets.
+        for name in ("a.txt", ".txt", ".txt.txt"):
+            (tmp_path / name).write_text(f"text of {name}", encoding="utf-8")
+        with pytest.raises(CorpusIOError, match=r"'\.txt'.*'\.txt\.txt'.*doc_id '\.txt'"):
+            corpus_paths(tmp_path)
 
 
 class TestCacheFile:
