@@ -24,7 +24,7 @@ Quick start::
     print(result.timings.total_s, result.timings.ttfa_s)
 """
 
-from .config import CONFIG_ENV_VAR, PipelineConfig, dump_config_text, load_config
+from .config import CONFIG_ENV_VAR, PipelineConfig, load_config
 from .errors import VoxbenchError
 from .manifest import load_manifest, synthesize_manifest, write_manifest
 from .metrics import (
@@ -102,7 +102,6 @@ __all__ = [
     "build_simulated_stages",
     "cosine",
     "decode_frame",
-    "dump_config_text",
     "embed",
     "encode_end",
     "encode_frame",

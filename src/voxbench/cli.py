@@ -134,12 +134,12 @@ def _cmd_index_query(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _resolve_index(args: argparse.Namespace):
+def _resolve_index(args: argparse.Namespace, embed_dim: int):
     cache = Path(args.cache) if args.cache else None
     if cache is not None and cache.exists():
         return load_index(cache)
     if args.docs_dir:
-        index = build_index(args.docs_dir, resolve_config(args.config).embed_dim)
+        index = build_index(args.docs_dir, embed_dim)
         if cache is not None:
             save_index(index, cache)
         return index
@@ -186,7 +186,7 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
     if not records:
         raise ManifestFormatError(f"manifest {args.manifest} contains no utterances")
     config = resolve_config(args.config)
-    index = _resolve_index(args)
+    index = _resolve_index(args, config.embed_dim)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -87,8 +87,8 @@ class PipelineConfig:
             raise ConfigError("invalid config: " + "; ".join(problems))
 
 
-# Fields parsed and written as integers. Annotations are strings here, as
-# this module postpones their evaluation.
+# Fields parsed as integers. Annotations are strings here, as this
+# module postpones their evaluation.
 _INT_FIELDS = frozenset(f.name for f in dataclasses.fields(PipelineConfig)
                         if f.type in (int, "int"))
 
@@ -134,16 +134,6 @@ def load_config(path: str | Path) -> PipelineConfig:
     config = parse_config_text(text)
     config.ensure_valid()
     return config
-
-
-def dump_config_text(config: PipelineConfig) -> str:
-    """Render a config as a file the parser accepts (field order, one per line)."""
-    lines = ["# voxbench pipeline config"]
-    for f in dataclasses.fields(PipelineConfig):
-        value = getattr(config, f.name)
-        rendered = str(value) if f.name in _INT_FIELDS else repr(float(value))
-        lines.append(f"{f.name} = {rendered}")
-    return "\n".join(lines) + "\n"
 
 
 def resolve_config(explicit_path: str | None) -> PipelineConfig:

@@ -120,33 +120,20 @@ def embed(text: str, dim: int) -> np.ndarray:
 
 
 class VectorIndex:
-    """Flat in-memory index of unit vectors with their source documents."""
+    """Flat in-memory index of unit vectors with their source documents.
 
-    def __init__(self, dim: int,
-                 entries: Sequence[tuple[str, np.ndarray]],
+    ``matrix`` holds one unit row per id, in ``ids`` order, and is owned
+    by the index from now on: a float64 matrix is adopted without a copy.
+    """
+
+    def __init__(self, ids: list[str], matrix: np.ndarray,
                  documents: Mapping[str, Document]) -> None:
-        _check_dim(dim)
-        rows = []
-        for doc_id, vector in entries:
-            arr = np.asarray(vector, dtype=np.float64)
-            if arr.shape != (dim,):
-                raise DimensionMismatchError(
-                    f"embedding for {doc_id!r} has shape {arr.shape}, index dim is {dim}")
-            rows.append(arr)
-        matrix = np.stack(rows) if rows else np.zeros((0, dim), dtype=np.float64)
-        self._adopt([doc_id for doc_id, _ in entries], matrix, documents)
-
-    @classmethod
-    def _of_matrix(cls, ids: list[str], matrix: np.ndarray,
-                   documents: Mapping[str, Document]) -> "VectorIndex":
-        """Wrap ``matrix`` (one row per id, owned by the index from now
-        on) without copying it."""
-        index = cls.__new__(cls)
-        index._adopt(ids, matrix, documents)
-        return index
-
-    def _adopt(self, ids: list[str], matrix: np.ndarray,
-               documents: Mapping[str, Document]) -> None:
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or len(matrix) != len(ids):
+            raise DimensionMismatchError(
+                f"matrix of shape {matrix.shape} does not hold one row for each of "
+                f"{len(ids)} doc_ids")
+        _check_dim(matrix.shape[1])
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate doc_id in index entries")
         if set(ids) != set(documents):
@@ -203,8 +190,7 @@ class VectorIndex:
         # Counts, their sums of squares and sqrt are exact, so dividing by
         # these norms gives the same bits as embed() does row by row.
         matrix /= np.sqrt(np.einsum("ij,ij->i", matrix, matrix))[:, np.newaxis]
-        return cls._of_matrix([d.doc_id for d in docs], matrix,
-                              {d.doc_id: d for d in docs})
+        return cls([d.doc_id for d in docs], matrix, {d.doc_id: d for d in docs})
 
 
 def _doc_id(name: str) -> str:
@@ -351,7 +337,7 @@ def load_index(path: str | Path) -> VectorIndex:
             if pos != size:
                 raise CacheFormatError(
                     f"cache file {path} has {size - pos} trailing bytes after the last entry")
-            return VectorIndex._of_matrix(ids, matrix, documents)
+            return VectorIndex(ids, matrix, documents)
         except ValueError as exc:  # bad UTF-8, duplicate ids, a vector off unit norm
             raise CacheFormatError(f"cache file {path} is corrupt: {exc}") from exc
 

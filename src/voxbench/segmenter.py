@@ -45,14 +45,6 @@ class SentenceSegmenter:
         self._buffer = ""
         self._next_index = 0
 
-    @property
-    def buffer(self) -> str:
-        return self._buffer
-
-    @property
-    def next_index(self) -> int:
-        return self._next_index
-
     def feed(self, chunk: str, now_s: float) -> list[Sentence]:
         """Append ``chunk`` and return every sentence completed by it.
 

@@ -2,7 +2,8 @@
 
 All values are frozen dataclasses: once constructed they can be handed
 across threads without locking. Validation is deliberately separate from
-construction. Each ``*_violations`` function returns a list of
+construction: ``utterance_violations`` checks a manifest record and
+``timings_violations`` a run's report row, each returning a list of
 human-readable problems (empty when the value is well formed) so callers
 can aggregate several values before deciding to raise.
 
@@ -140,45 +141,6 @@ def utterance_violations(rec: UtteranceRecord) -> list[str]:
         problems.append("reference_transcript must contain non-whitespace text")
     if rec.expected_doc_id is not None and not rec.expected_doc_id:
         problems.append("expected_doc_id must be None or non-empty")
-    return problems
-
-
-def transcript_violations(t: Transcript) -> list[str]:
-    problems: list[str] = []
-    if t.word_count < 0:
-        problems.append("word_count must be >= 0")
-    if t.word_count != word_count(t.text):
-        problems.append("word_count must match the whitespace word count of text")
-    if not math.isfinite(t.asr_elapsed_s) or t.asr_elapsed_s < 0.0:
-        problems.append("asr_elapsed_s must be finite and >= 0")
-    return problems
-
-
-def sentence_violations(s: Sentence) -> list[str]:
-    problems: list[str] = []
-    if s.index < 0:
-        problems.append("index must be >= 0")
-    if not s.text or s.text != s.text.strip():
-        problems.append("text must be non-empty and stripped of outer whitespace")
-    if not math.isfinite(s.emitted_at_s) or s.emitted_at_s < 0.0:
-        problems.append("emitted_at_s must be finite and >= 0")
-    return problems
-
-
-def segment_violations(seg: AudioSegment, sentence: Sentence | None = None) -> list[str]:
-    """Check an AudioSegment, optionally against the sentence it voices."""
-    problems: list[str] = []
-    if seg.sentence_index < 0:
-        problems.append("sentence_index must be >= 0")
-    if not math.isfinite(seg.synthesized_duration_s) or seg.synthesized_duration_s <= 0.0:
-        problems.append("synthesized_duration_s must be finite and > 0")
-    if not math.isfinite(seg.synth_elapsed_s) or seg.synth_elapsed_s < 0.0:
-        problems.append("synth_elapsed_s must be finite and >= 0")
-    if sentence is not None:
-        if seg.sentence_index != sentence.index:
-            problems.append("sentence_index must match the source sentence")
-        if seg.completed_at_s < sentence.emitted_at_s:
-            problems.append("completed_at_s must be >= the sentence emitted_at_s")
     return problems
 
 

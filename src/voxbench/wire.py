@@ -38,9 +38,6 @@ KIND_END = 1
 _HEADER = struct.Struct("<4sHBIQI")
 HEADER_SIZE = _HEADER.size  # 23
 
-# u32 payload length field; also a sanity bound against garbage headers.
-MAX_PAYLOAD_BYTES = 2**32 - 1
-
 _U32_MAX = 2**32 - 1
 _U64_MAX = 2**64 - 1
 
@@ -72,7 +69,7 @@ def _pack(kind: int, index: int, emitted_at_s: float, payload: bytes) -> bytes:
     emitted_us = round(emitted_at_s * 1e6)
     if not 0 <= emitted_us <= _U64_MAX:
         raise FrameTooLargeError(f"timestamp {emitted_at_s} does not fit in u64 microseconds")
-    if len(payload) > MAX_PAYLOAD_BYTES:
+    if len(payload) > _U32_MAX:
         raise FrameTooLargeError(f"payload of {len(payload)} bytes does not fit in u32")
     return _HEADER.pack(MAGIC, VERSION, kind, index, emitted_us, len(payload)) + payload
 

@@ -111,7 +111,8 @@ def test_criterion_01_summary_statistics_are_exact(capsys):
 
 def test_criterion_02_latency_means_hit_the_reference_bands(paper_batch, capsys):
     _, results, summary = paper_batch
-    assert not any(r.failed for r in results)
+    assert not any(r.failed for r in results), [
+        (r.timings.utterance_id, r.error) for r in results if r.failed]
     assert summary is not None and summary.count == 50
     observed = {}
     for column, (target, tol) in MEAN_BANDS.items():

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from voxbench import orchestrator
+from voxbench import config, orchestrator
 from voxbench.cli import CSV_COLUMNS, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from voxbench.config import CONFIG_ENV_VAR
 from voxbench.manifest import load_manifest, synthesize_manifest, write_manifest
@@ -164,6 +164,20 @@ class TestBenchRun:
         table = (out_dir / "summary_table.txt").read_text(encoding="utf-8")
         assert table.endswith("records: 4\n")
         assert capsys.readouterr().out == table
+
+    def test_config_file_is_read_once(self, manifest_path, docs_dir, tmp_path,
+                                      config_path, monkeypatch):
+        loads = []
+        real_load = config.load_config
+
+        def counting_load(path):
+            loads.append(path)
+            return real_load(path)
+
+        monkeypatch.setattr(config, "load_config", counting_load)
+        code, _ = self.run_bench(manifest_path, docs_dir, tmp_path, config_path)
+        assert code == EXIT_OK
+        assert loads == [config_path]
 
     def test_cache_written_once_then_reused(self, manifest_path, docs_dir,
                                             tmp_path, config_path):

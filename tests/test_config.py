@@ -5,7 +5,6 @@ import pytest
 from voxbench.config import (
     CONFIG_ENV_VAR,
     PipelineConfig,
-    dump_config_text,
     load_config,
     parse_config_text,
     resolve_config,
@@ -34,12 +33,6 @@ def test_jitter_frac_range():
     assert PipelineConfig(jitter_frac=0.99).violations() == []
     assert PipelineConfig(jitter_frac=1.0).violations()
     assert PipelineConfig(jitter_frac=-0.1).violations()
-
-
-def test_dump_parse_round_trip():
-    config = PipelineConfig(asr_rtf=0.01, llm_tokens_per_sec=120,
-                            rng_seed=9, time_scale=0.05, jitter_frac=0.25)
-    assert parse_config_text(dump_config_text(config)) == config
 
 
 def test_parse_ignores_comments_and_blanks():

@@ -120,21 +120,32 @@ class TestVectorIndex:
     def test_duplicate_doc_id_rejected(self):
         vec = embed("x", 8)
         with pytest.raises(ValueError, match="duplicate"):
-            VectorIndex(8, [("a", vec), ("a", vec)],
-                        {"a": Document("a", "x")})
+            VectorIndex(["a", "a"], np.stack([vec, vec]), {"a": Document("a", "x")})
 
     def test_entries_and_documents_must_agree(self):
-        vec = embed("x", 8)
         with pytest.raises(ValueError, match="same doc_ids"):
-            VectorIndex(8, [("a", vec)], {"b": Document("b", "x")})
+            VectorIndex(["a"], embed("x", 8)[np.newaxis], {"b": Document("b", "x")})
 
     def test_wrong_vector_shape_rejected(self):
+        docs = {"a": Document("a", "x")}
         with pytest.raises(DimensionMismatchError):
-            VectorIndex(8, [("a", np.ones(4) / 2.0)], {"a": Document("a", "x")})
+            VectorIndex(["a"], embed("x", 8), docs)  # 1-D, not one row per id
+        with pytest.raises(DimensionMismatchError):
+            VectorIndex(["a"], np.stack([embed("x", 8), embed("y", 8)]), docs)
 
     def test_non_unit_vector_rejected(self):
         with pytest.raises(ValueError, match="unit norm"):
-            VectorIndex(4, [("a", np.ones(4))], {"a": Document("a", "x")})
+            VectorIndex(["a"], np.ones((1, 4)), {"a": Document("a", "x")})
+
+    def test_zero_dim_rejected(self):
+        with pytest.raises(ValueError, match="dim"):
+            VectorIndex([], np.empty((0, 0)), {})
+
+    def test_float64_matrix_is_adopted_not_copied(self):
+        matrix = np.stack([embed("alpha", 8), embed("bravo", 8)])
+        index = VectorIndex(["a", "b"], matrix,
+                            {d: Document(d, d) for d in ("a", "b")})
+        assert np.shares_memory(index._matrix, matrix)
 
     def test_unknown_document_lookup(self):
         index = VectorIndex.from_documents(self.docs(), 16)
@@ -299,9 +310,8 @@ class TestCacheFile:
 
     def test_round_trip_keeps_every_bit_including_a_nan_row(self, tmp_path):
         docs = {d: Document(d, f"text of {d}") for d in ("a", "b", "c")}
-        entries = [("c", embed("c", 8)), ("a", np.full(8, np.nan)),
-                   ("b", embed("route signal signal", 8))]
-        index = VectorIndex(8, entries, docs)
+        rows = [embed("c", 8), np.full(8, np.nan), embed("route signal signal", 8)]
+        index = VectorIndex(["c", "a", "b"], np.stack(rows), docs)
         path = tmp_path / "nan.tvix"
         save_index(index, path)
         loaded = load_index(path)
@@ -480,9 +490,8 @@ class TestSearch:
                 full_sort_topk(small_index, query, k))
         nan_row = np.full(8, np.nan)
         docs = {d: Document(d, d) for d in ("a", "b", "c", "d")}
-        entries = [("c", embed("c", 8)), ("a", nan_row), ("d", embed("d", 8)),
-                   ("b", embed("c", 8))]
-        index = VectorIndex(8, entries, docs)
+        rows = [embed("c", 8), nan_row, embed("d", 8), embed("c", 8)]
+        index = VectorIndex(["c", "a", "d", "b"], np.stack(rows), docs)
         query = embed("c", 8)
         for k in (1, 2, 3):
             assert exact(search(index, query, k)) == exact(full_sort_topk(index, query, k))

@@ -28,9 +28,12 @@ class TestBoundaryRule:
         seg = SentenceSegmenter()
         emitted = seg.feed("Hello world. How are", 0.1)
         assert [s.text for s in emitted] == ["Hello world."]
-        assert seg.buffer == "How are"
         emitted = seg.feed(" you? ", 0.2)
         assert [s.text for s in emitted] == ["How are you?"]
+        seg = SentenceSegmenter()
+        seg.feed("Hello world. How are", 0.1)
+        tail = seg.flush(0.2)
+        assert tail is not None and (tail.index, tail.text) == (1, "How are")
 
     def test_terminator_at_buffer_end_waits_for_next_char(self):
         seg = SentenceSegmenter()
@@ -75,9 +78,10 @@ class TestBookkeeping:
         seg = SentenceSegmenter()
         sentences = seg.feed("One. Two. Three. ", 0.5)
         assert [s.index for s in sentences] == [0, 1, 2]
-        assert seg.next_index == 3
-        tail = seg.flush(0.6)
-        assert tail is None
+        assert seg.flush(0.6) is None
+        assert [s.index for s in seg.feed("Four. Fi", 0.7)] == [3]
+        tail = seg.flush(0.8)
+        assert tail is not None and (tail.index, tail.text) == (4, "Fi")
 
     def test_emission_timestamps_use_the_feed_time(self):
         seg = SentenceSegmenter()

@@ -6,15 +6,9 @@ import math
 import pytest
 
 from voxbench.types import (
-    AudioSegment,
-    Sentence,
     StageTimings,
-    Transcript,
     UtteranceRecord,
-    segment_violations,
-    sentence_violations,
     timings_violations,
-    transcript_violations,
     utterance_violations,
     word_count,
 )
@@ -58,29 +52,6 @@ def test_utterance_violations_are_listed():
 def test_utterance_rejects_non_finite_duration():
     assert utterance_violations(UtteranceRecord("u", math.inf, "hi"))
     assert utterance_violations(UtteranceRecord("u", math.nan, "hi"))
-
-
-def test_transcript_word_count_must_match_text():
-    ok = Transcript("hello there", 2, 0.05)
-    assert transcript_violations(ok) == []
-    bad = Transcript("hello there", 3, 0.05)
-    assert transcript_violations(bad) == ["word_count must match the whitespace word count of text"]
-
-
-def test_sentence_requires_stripped_nonempty_text():
-    assert sentence_violations(Sentence(0, "Fine.", 0.1)) == []
-    assert sentence_violations(Sentence(0, " padded. ", 0.1))
-    assert sentence_violations(Sentence(-1, "", -0.5))
-
-
-def test_segment_checked_against_its_sentence():
-    sentence = Sentence(3, "Here it is.", emitted_at_s=0.5)
-    good = AudioSegment(3, 4.0, 0.286, completed_at_s=0.8)
-    assert segment_violations(good, sentence) == []
-    wrong_index = AudioSegment(2, 4.0, 0.286, completed_at_s=0.8)
-    assert segment_violations(wrong_index, sentence)
-    too_early = AudioSegment(3, 4.0, 0.286, completed_at_s=0.4)
-    assert segment_violations(too_early, sentence)
 
 
 def test_timings_happy_path():
