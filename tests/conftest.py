@@ -1,10 +1,19 @@
 from __future__ import annotations
 
-import pytest
+import os
 
-from voxbench import PipelineConfig, build_index
+# One BLAS thread, as benchmarks/run.py sets, so the dense matmul behind
+# support.full_sort_topk is the one that search's scores reproduce: with
+# more threads OpenBLAS splits a large gemv into row ranges whose ends
+# round differently. OpenBLAS reads this once, when numpy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from .support import write_corpus
+import pytest  # noqa: E402
+
+from voxbench import PipelineConfig, build_index  # noqa: E402
+
+from .support import write_corpus  # noqa: E402
 
 
 @pytest.fixture(scope="session")

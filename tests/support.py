@@ -113,8 +113,9 @@ def brute_force_topk(entries: list[tuple[str, list[float]]],
     return scored[:k]
 
 
-# Exact-ranking oracle: the same matrix product as ``search``, so scores
-# are bit-identical, but every score is sorted, with no partition step.
+# Exact-ranking oracle: the dense one-thread matrix product (conftest.py
+# pins BLAS to one thread) whose scores ``search`` reproduces bit for bit,
+# with every score sorted and no partition, screen or rescoring step.
 
 def full_sort_topk(index: VectorIndex, query: np.ndarray,
                    k: int) -> list[tuple[str, float]]:

@@ -24,6 +24,7 @@ from voxbench.retrieval import (
     CACHE_MAGIC,
     Document,
     VectorIndex,
+    _SCREEN_MIN_ROWS,
     _token_bucket,
     build_index,
     build_prompt,
@@ -441,6 +442,11 @@ class TestSingleCopy:
         assert peak < self.budget(docs)
 
 
+def exact(results):
+    """Results compared by score bits: repr, since nan != nan."""
+    return [(doc_id, repr(score)) for doc_id, score in results]
+
+
 class TestSearch:
     def test_matches_brute_force_on_seeded_queries(self, small_index):
         rng = random.Random(88)
@@ -480,9 +486,6 @@ class TestSearch:
                                            + ["worst"])[:k]
 
     def test_nan_scores_rank_like_the_full_sort(self, small_index):
-        def exact(results):  # repr, since nan != nan
-            return [(doc_id, repr(score)) for doc_id, score in results]
-
         query = embed("signal route", small_index.dim)
         query[3] = np.nan
         for k in (1, 3, len(small_index)):
@@ -496,27 +499,142 @@ class TestSearch:
         for k in (1, 2, 3):
             assert exact(search(index, query, k)) == exact(full_sort_topk(index, query, k))
 
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(50, 3000), distinct=st.integers(1, 60),
+    @settings(max_examples=60, deadline=None)
+    @given(groups=st.integers(12, 750), tail=st.integers(0, 3), distinct=st.integers(1, 400),
+           foreign=st.integers(0, 3), nan_row=st.booleans(),
            seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_hypothesis_equals_a_full_sort(self, n, distinct, seed, data):
+    def test_hypothesis_equals_a_full_sort(self, groups, tail, distinct, foreign, nan_row,
+                                           seed, data):
         """Few distinct texts over many docs make every score a large tie
-        group, so the k-th boundary usually cuts through one."""
+        group, so the k-th boundary usually cuts through one; many make
+        small groups, so a large index takes the screened path. Foreign
+        rows (signed unit vectors, a NaN row) are not count vectors, and
+        the query may be a count vector, a signed vector or hold a NaN.
+        The index has 4 * groups + tail rows, so the BLAS tail kernel's
+        rows are covered for every tail length."""
         dim = 32
+        n = 4 * groups + tail
         rng = random.Random(seed)
         vocab = [f"term{i}" for i in range(30)]
         texts = [" ".join(rng.choices(vocab, k=rng.randint(1, 8))) for _ in range(distinct)]
         ids = [f"doc{i:04d}" for i in range(n)]
         rng.shuffle(ids)
-        index = VectorIndex.from_documents(
-            [Document(doc_id, rng.choice(texts)) for doc_id in ids], dim)
-        qtext = data.draw(st.sampled_from(texts)
-                          | st.lists(st.sampled_from(vocab), max_size=8).map(" ".join))
-        query = embed(qtext, dim)
+        docs = {doc_id: Document(doc_id, rng.choice(texts)) for doc_id in ids}
+        matrix = np.stack([embed(docs[doc_id].text, dim) for doc_id in ids])
+        nprng = np.random.default_rng(seed)
+        for row in rng.sample(range(n), foreign + nan_row):
+            vec = nprng.standard_normal(dim)
+            matrix[row] = vec / np.linalg.norm(vec)
+        if nan_row:
+            matrix[row] = np.nan
+        index = VectorIndex(ids, matrix, docs)
+        kind = data.draw(st.sampled_from(["text", "words", "signed", "nan"]))
+        if kind == "text":
+            query = embed(data.draw(st.sampled_from(texts)), dim)
+        elif kind == "words":
+            query = embed(" ".join(data.draw(st.lists(st.sampled_from(vocab), max_size=8))), dim)
+        else:
+            query = nprng.standard_normal(dim)
+            query[nprng.random(dim) < data.draw(st.sampled_from([0.5, 0.85]))] = 0.0
+            if kind == "nan":
+                query[nprng.integers(dim)] = np.nan
         k = data.draw(st.integers(1, n + 1))
         got = search(index, query, k)
-        assert got == full_sort_topk(index, query, k)
+        assert exact(got) == exact(full_sort_topk(index, query, k))
         assert all(type(score) is float for _, score in got)
+
+    def test_blas_breaks_a_mathematical_tie(self):
+        """Two documents whose scores are equal as real numbers (count dot
+        products 9 and 9, count norms sqrt(14) and sqrt(14)) but one ulp
+        apart in the matmul, with the screen's rounding ordering them the
+        other way. The matmul's order is the answer, not doc_id's and not
+        the screen's."""
+        winner, loser = "w0 w0 w0 w2 w2 w3", "w0 w0 w1 w2 w2 w2"
+        query = embed("w0 w1 w2 w2 w3 w3", 32)
+        docs = [Document(f"filler-{i:04d}", "f0") for i in range(_SCREEN_MIN_ROWS)]
+        docs[100], docs[105] = Document("tie-b", winner), Document("tie-a", loser)
+        index = VectorIndex.from_documents(docs, 32)
+        scores = dict(full_sort_topk(index, query, 2))
+        if scores["tie-a"] == scores["tie-b"]:
+            pytest.skip("this BLAS rounds the two scores alike")
+        assert scores["tie-b"] > scores["tie-a"]
+        for k in (1, 2, 3):
+            assert exact(search(index, query, k)) == exact(full_sort_topk(index, query, k))
+        assert [d for d, _ in search(index, query, 2)] == ["tie-b", "tie-a"]
+
+    @pytest.mark.parametrize("tail", [1, 2, 3])
+    def test_best_rows_in_the_partial_last_group(self, tail):
+        """The only candidates sit in the last, partial 4-row group, which
+        the matmul scores with its tail kernel."""
+        rng = np.random.default_rng(tail)
+        words = random.Random(tail).choices([f"term{i}" for i in range(100)], k=60)
+        n = _SCREEN_MIN_ROWS + tail
+        docs = [Document(f"filler-{i:04d}", "f0") for i in range(n - tail)]
+        docs += [Document(f"top-{i}", " ".join(words[i:])) for i in range(tail)]
+        index = VectorIndex.from_documents(docs, 256)
+        others = np.flatnonzero(embed("f0", 256) == 0)
+        for _ in range(20):
+            # Signed weights on a quarter of the columns, none on the fillers' one.
+            query = np.zeros(256)
+            query[rng.choice(others, 64, replace=False)] = rng.random(64) - 0.1
+            for k in range(1, tail + 2):
+                got = search(index, query, k)
+                assert exact(got) == exact(full_sort_topk(index, query, k))
+                assert got[0][0].startswith("top-")
+
+    def test_foreign_and_nan_rows_loaded_from_a_cache(self, tmp_path):
+        """Rows that are not count vectors: a count 300 times the smallest,
+        a smallest count that does not divide another, a signed vector, a
+        row that rounds to counts (1, 2, 2) of the right norm without being
+        near them, and a NaN row, each in a cache read back by load_index.
+        A NaN row, like a NaN query, sends a search to the dense scan;
+        without either the rest are screened."""
+        rng = random.Random(5)
+        vocab = [f"term{i}" for i in range(40)]
+        docs = [Document(f"doc{i:04d}", " ".join(rng.choices(vocab, k=rng.randint(1, 12))))
+                for i in range(_SCREEN_MIN_ROWS + 3)]
+        docs[7] = Document(docs[7].doc_id, "term1 " * 300 + "term2")
+        docs[8] = Document(docs[8].doc_id, "term1 term1 term2 term2 term2")
+        matrix = VectorIndex.from_documents(docs, 32)._matrix.copy()
+        signed = np.random.default_rng(5).standard_normal(32)
+        matrix[9] = signed / np.linalg.norm(signed)
+        cols = [int(np.flatnonzero(embed(word, 32))[0]) for word in ("term3", "term4", "term5")]
+        matrix[10] = 0.0
+        matrix[10, cols] = np.array([1.0, 2.2, math.sqrt(3.16)]) / 3
+        by_id = {d.doc_id: d for d in docs}
+        queries = [embed(" ".join(rng.choices(vocab, k=5)), 32) for _ in range(30)]
+        nan_query = embed("term1 term2", 32)
+        nan_query[3] = np.nan
+        queries += [embed("term1", 32), embed("term1 term2 term2", 32), embed("term4", 32),
+                    np.where(np.arange(32) % 5 == 0, signed, 0.0), nan_query]
+        for nan_row in (False, True):
+            if nan_row:
+                matrix[11] = np.nan
+            path = tmp_path / f"nan-{nan_row}.tvix"
+            save_index(VectorIndex([d.doc_id for d in docs], matrix, by_id), path)
+            index = load_index(path)
+            assert set(range(7, 11 + nan_row)) <= set(index._loose.tolist())
+            for query in queries:
+                for k in (1, 3, 10):
+                    assert exact(search(index, query, k)) == exact(
+                        full_sort_topk(index, query, k))
+
+    def test_one_blas_thread_so_each_row_group_scores_as_in_the_full_matmul(self):
+        """The rescoring contract: one 4-row group (the partial last group
+        riding with the one before it) gets the same bits as in the dense
+        matmul. With two OpenBLAS threads a matmul this large is split
+        into row ranges and this fails; conftest.py pins one thread."""
+        rng = np.random.default_rng(11)
+        for n in (2001, 2003):
+            matrix = rng.random((n, 256))
+            matrix /= np.linalg.norm(matrix, axis=1)[:, np.newaxis]
+            for _ in range(5):
+                query = rng.standard_normal(256)
+                full = matrix @ query
+                last = 4 * (n // 4) - 4
+                parts = [matrix[s:s + 4] @ query for s in range(0, last, 4)]
+                parts.append(matrix[last:] @ query)
+                assert np.array_equal(np.concatenate(parts), full)
 
     def test_k_larger_than_index_returns_everything(self, small_index):
         results = search(small_index, embed("signal", small_index.dim), 999)
