@@ -16,11 +16,12 @@ scoring at least that much (so a tie group straddling the boundary
 survives whole) and sort only those.
 
 A larger index is searched in two stages. Its rows are unit count
-vectors, so the constructor keeps the integer counts as a column-major
+vectors, so its first search keeps the integer counts as a column-major
 uint8 copy (1/8 of the float64 matrix) and checks, row by row, that the
 stored vector is within 21u of counts / |counts| (u = 2**-53); a row
 that is not (NaN, a negative entry, a count above 255, a foreign
-vector) is "loose".
+vector) is "loose". An index that is only built and saved never pays
+for the copy.
 
 1. Screen: score every row as (counts . q) / |counts| in float64,
    reading only the query's nonzero columns, with loose rows at +inf.
@@ -31,21 +32,26 @@ vector) is "loose".
    score is a candidate (twice the bound, plus slack for the roundings
    of |q| and of the cut), and any other row has k rows with strictly
    higher matmul scores.
-2. Rescore: score the candidates with the same matmul, on their whole
-   4-row groups of the original matrix, in one call with a partial last
-   group at its end and never alone. OpenBLAS's gemv kernel scores rows
-   four at a time and the rest with a tail kernel that rounds
+2. Rescore: score the candidates' whole 4-row groups of the original
+   matrix with one gemv per group, a partial last group at the end of a
+   call that starts with the group before it. OpenBLAS's gemv scores
+   rows four at a time and the rest with a tail kernel that rounds
    differently, so this gives each row its bits in the full matmul. The
    final ranking comes from these scores, never from the screen: a tie
    between two real numbers is often broken by an ulp of the matmul.
 
-Both stages assume one BLAS thread, as the benchmark and the tests pin
-it: with more, OpenBLAS splits a large gemv into row ranges whose ends
-round like a tail, so the dense scan's bits differ from the rescoring's.
-The dense scan runs instead when the query has more nonzero columns
-than a quarter of dim, |q|^2 is outside _Q_RANGE or not finite, there
-are not k checked rows, the candidates' groups cover more than half the
-rows, or a rescored score is not finite.
+Those bits are the full matmul's only with one BLAS thread, as the
+benchmark and the tests pin it, and as a caller of ``search`` should:
+with more, OpenBLAS splits a large gemv into row ranges, and a range
+that does not end on a multiple of 4 leaves rows to the tail kernel.
+So before the copy is built, _PROBES seeded dense queries are scored
+both ways over every row, and if any bit differs the index keeps no
+copy and every search is the dense scan. The dense scan also runs when
+the query has more nonzero columns than a quarter of dim, |q|^2 is
+outside _Q_RANGE or not finite, there are not k checked rows, the
+candidates' groups number more than 1/16 of the rows, or a rescored
+score is not finite. The cut-offs on columns and groups only choose the
+faster path; their measurements are at the code.
 
 Index cache file layout, little-endian, no padding:
 
@@ -63,12 +69,13 @@ import functools
 import hashlib
 import math
 import os
+import random
 import shutil
 import struct
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,12 +105,16 @@ _CHUNK_CELLS = 1 << 17
 # A corpus file is read in pieces of this size; most fit in one.
 _READ_SIZE = 1 << 16
 # An index with fewer rows has no count copy and search scans it densely.
-# At 1,024 rows of dim 256 the two searches took about as long (~0.25 ms
-# after an idle gap, 2-core VM); at 4,096 screening took half as long.
+# Medians of 12-word queries at dim 256 after a 13 ms idle gap (one BLAS
+# thread, 2-core VM), screened against dense: 0.46 vs 0.38 ms at 512
+# rows, 0.50 vs 0.48 at 1,024, 0.54 vs 0.76 at 2,048, 0.59 vs 1.18 at 4,096.
 _SCREEN_MIN_ROWS = 1024
 # _count_copy reads back this many matrix cells per pass (128 rows at
 # dim 256): its two float64 buffers stay in a core's L2 cache.
 _SCREEN_CELLS = 1 << 15
+# Dense queries on which _rescore must match the full matmul before an
+# index is screened.
+_PROBES = 4
 _U = 2.0 ** -53  # unit roundoff of float64
 # search screens a query only when |q|^2 is in this range: no product or
 # sum that the margin covers can overflow, and underflow stays far below it.
@@ -163,7 +174,15 @@ def embed(text: str, dim: int) -> np.ndarray:
     return vec
 
 
-def _count_copy(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class _Screen(NamedTuple):
+    """An index's count copy; see _count_copy."""
+
+    counts: np.ndarray
+    scale: np.ndarray
+    loose: np.ndarray
+
+
+def _count_copy(matrix: np.ndarray) -> _Screen:
     """Read every row back as the integer counts it was normalised from.
 
     With ``least`` a row's smallest positive entry and ``c`` the row
@@ -181,34 +200,82 @@ def _count_copy(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """
     n, dim = matrix.shape
     counts = np.empty((dim, n), dtype=np.uint8)
-    least, squares, misfit = np.empty((3, n))
-    step = max(1, _SCREEN_CELLS // dim)
-    scaled, rounded = np.empty((2, min(step, n), dim))
-    narrow = np.empty((min(step, n), dim), dtype=np.uint8)
+    scale = np.empty(n)
+    step = min(n, max(1, _SCREEN_CELLS // dim))
+    scaled, rounded = np.empty((2, step, dim))
+    narrow = np.empty((step, dim), dtype=np.uint8)
+    least, squares, misfit = np.empty((3, step))
     with np.errstate(all="ignore"):
         for start in range(0, n, step):
             stop = min(start + step, n)
-            rows = matrix[start:stop]
-            x, c, c8 = scaled[:stop - start], rounded[:stop - start], narrow[:stop - start]
+            rows, m = matrix[start:stop], stop - start
+            x, c, c8 = scaled[:m], rounded[:m], narrow[:m]
             # As unsigned bits minus one, 0 and every negative float sort
             # above every positive one.
             np.subtract(rows.view(np.uint64), 1, out=x.view(np.uint64))
-            np.add(x.view(np.uint64).min(axis=1), 1, out=least[start:stop].view(np.uint64))
-            np.multiply(rows, (1.0 / least[start:stop])[:, np.newaxis], out=x)
+            np.add(x.view(np.uint64).min(axis=1), 1, out=least[:m].view(np.uint64))
+            np.multiply(rows, (1.0 / least[:m])[:, np.newaxis], out=x)
             # A count out of uint8 range comes back as another value, and
             # the misfit below then fails the row.
             np.rint(x, out=c8, casting="unsafe")
             np.copyto(c, c8)
             x -= c
-            np.einsum("ij,ij->i", c, c, out=squares[start:stop])
-            np.einsum("ij,ij->i", x, x, out=misfit[start:stop])
+            np.einsum("ij,ij->i", c, c, out=squares[:m])
+            np.einsum("ij,ij->i", x, x, out=misfit[:m])
+            norms = np.sqrt(squares[:m])
+            fits = ((norms > 0) & (np.abs(least[:m] * norms - 1.0) <= 8 * _U)
+                    & (misfit[:m] * least[:m] * least[:m] <= (8 * _U) ** 2))
+            c8[~fits] = 0
             counts[:, start:stop] = c8.T
-        norms = np.sqrt(squares)
-        loose = np.flatnonzero(~((norms > 0) & (np.abs(least * norms - 1.0) <= 8 * _U)
-                                 & (misfit * least * least <= (8 * _U) ** 2)))
-        counts[:, loose] = 0
-        norms[loose] = np.inf
-    return counts, 1.0 / norms, loose
+            scale[start:stop] = np.where(fits, 1.0 / norms, 0.0)
+    return _Screen(counts, scale, np.flatnonzero(scale == 0.0))
+
+
+def _rescore(matrix: np.ndarray, groups: np.ndarray,
+             q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Score the rows of the sorted 4-row ``groups`` of ``matrix`` with
+    one gemv per group, a partial last group at the end of a call that
+    starts with the group before it. Returns the rows and their scores.
+
+    gemv scores rows four at a time from the start of its call and the
+    rest with a tail kernel that rounds differently, so with one BLAS
+    thread this gives each row its bits in the full ``matrix @ q``.
+    numpy runs a stacked matmul as one gemv per 4-row block, so no call
+    covers more than 7 rows and none is split across threads.
+    """
+    n, dim = matrix.shape
+    last = n // 4 - (n % 4 > 0)  # the last call runs from this group to the end
+    head = groups[groups < last]
+    rows = (4 * head[:, np.newaxis] + np.arange(4)).ravel()
+    # Every group scored (the probe below): the matrix itself, not a copy.
+    blocks = matrix[:4 * last] if len(head) == last else matrix[rows]
+    scores = (blocks.reshape(-1, 4, dim) @ q).ravel()
+    if len(head) < len(groups):
+        rows = np.concatenate([rows, np.arange(4 * last, n)])
+        scores = np.concatenate([scores, matrix[4 * last:] @ q])
+    return rows, scores
+
+
+def _rescore_matches_the_matmul(matrix: np.ndarray) -> bool:
+    """Whether _rescore gives every row of ``matrix`` the bits of the full
+    matmul on _PROBES seeded dense probe queries.
+
+    It does with one BLAS thread. With more, OpenBLAS splits a large gemv
+    into row ranges, and a range that does not end on a multiple of 4
+    leaves rows to the tail kernel. With two threads one probe caught
+    that in 33-40 of 40 draws at each of 2,001 to 20,001 rows of dim
+    256. The probes come from the random module: loading numpy.random
+    would add ~7 MB of resident memory.
+    """
+    n, dim = matrix.shape
+    groups = np.arange((n + 3) // 4)
+    rng = random.Random(0)
+    for _ in range(_PROBES):
+        q = np.array([rng.random() for _ in range(dim)]) * 2.0 - 1.0
+        _rows, scores = _rescore(matrix, groups, q)
+        if not np.array_equal(scores.view(np.uint64), (matrix @ q).view(np.uint64)):
+            return False
+    return True
 
 
 class VectorIndex:
@@ -216,8 +283,7 @@ class VectorIndex:
 
     ``matrix`` holds one unit row per id, in ``ids`` order, and is owned
     by the index from now on: a C-contiguous float64 matrix is adopted
-    without a copy. An index of at least _SCREEN_MIN_ROWS rows also keeps
-    the uint8 count copy that ``search`` screens queries on.
+    without a copy.
     """
 
     def __init__(self, ids: list[str], matrix: np.ndarray,
@@ -232,24 +298,26 @@ class VectorIndex:
             raise ValueError("duplicate doc_id in index entries")
         if set(ids) != set(documents):
             raise ValueError("entries and documents must cover the same doc_ids")
-        self._counts: np.ndarray | None = None
-        loose = slice(None)
-        if len(matrix) >= _SCREEN_MIN_ROWS:
-            self._counts, self._scale, self._loose = _count_copy(matrix)
-            loose = self._loose
-        # A row read back as counts is within 21u of unit norm, so only
-        # the loose rows (every row of a small index) need this check. A
-        # NaN norm compares false, so rows holding NaN are accepted.
-        vectors = matrix[loose]
-        off = np.abs(np.sqrt(np.einsum("ij,ij->i", vectors, vectors)) - 1.0) > _NORM_TOL
+        # A NaN norm compares false, so rows holding NaN are accepted.
+        off = np.abs(np.sqrt(np.einsum("ij,ij->i", matrix, matrix)) - 1.0) > _NORM_TOL
         if off.any():
-            row = int(np.arange(len(matrix))[loose][np.argmax(off)])
+            row = int(np.argmax(off))
             norm = float(np.linalg.norm(matrix[row]))
             raise ValueError(f"embedding for {ids[row]!r} is not unit norm (|v|={norm})")
         self.dim = matrix.shape[1]
         self._ids: list[str] = ids
         self._documents: dict[str, Document] = dict(documents)
         self._matrix = matrix
+
+    @functools.cached_property
+    def _screen(self) -> _Screen | None:
+        """The count copy that ``search`` screens on, built on the first
+        search, so an index that is only saved never builds it. None for
+        an index of fewer than _SCREEN_MIN_ROWS rows, and where this
+        process's matmul does not score rows as _rescore does."""
+        if len(self) < _SCREEN_MIN_ROWS or not _rescore_matches_the_matmul(self._matrix):
+            return None
+        return _count_copy(self._matrix)
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -444,48 +512,69 @@ def load_index(path: str | Path) -> VectorIndex:
             raise CacheFormatError(f"cache file {path} is corrupt: {exc}") from exc
 
 
-def _screened(index: VectorIndex, q: np.ndarray, k: int) -> list[tuple[str, float]] | None:
-    """Screen and rescore as the module docstring sets out; None where
-    the dense scan must run instead."""
-    qq = float(q @ q)
-    cols = np.flatnonzero(q)
-    n = len(index)
-    cut = n - k - len(index._loose)  # the k-th best checked row, loose rows at +inf
-    # Each column screened costs two passes over n floats: at a quarter
-    # of dim the screen took ~60% of the dense scan's time (20,000 rows).
-    if not (_Q_RANGE[0] <= qq <= _Q_RANGE[1] and 4 * len(cols) <= index.dim and cut >= 0):
-        return None
-    screen = np.zeros(n)
-    term = np.empty(n)
-    for col in cols.tolist():
-        np.multiply(index._counts[col], q[col], out=term)
-        screen += term
-    screen *= index._scale
-    screen[index._loose] = np.inf
-    margin = (4 * index.dim + 64) * _U * math.sqrt(qq)
-    rows = np.flatnonzero(screen >= np.partition(screen, cut)[cut] - margin)
-    groups = np.unique(rows >> 2)
-    if 8 * len(groups) > n:
-        return None
-    if len(groups) == 1 and 4 * groups[0] + 4 > n:  # a partial last group alone
-        groups = np.array([groups[0] - 1, groups[0]])
-    rows = (4 * groups[:, np.newaxis] + np.arange(4)).ravel()
-    rows = rows[rows < n]
-    scores = index._matrix[rows] @ q
-    if not np.isfinite(scores).all():
-        return None
-    ids = index._ids
+def _top_k(ids: list[str], rows: np.ndarray, scores: np.ndarray,
+           k: int) -> list[tuple[str, float]]:
+    """The k best of the index's ``rows`` by their ``scores``, score
+    descending, ties by doc_id ascending. Only the rows scoring at least
+    the k-th best are sorted, so a tie group straddling the boundary
+    survives whole."""
+    if k < len(scores):
+        top = np.partition(scores, -k)[-k:].tolist()  # top[0] is the k-th best
+        # NaN compares false both ways, so it has no rank to cut at; only
+        # the full sort reproduces the brute-force order then.
+        if not any(map(math.isnan, top)):
+            keep = scores >= top[0]
+            rows, scores = rows[keep], scores[keep]
     ranked = sorted(zip([ids[r] for r in rows.tolist()], scores.tolist()),
                     key=lambda e: (-e[1], e[0]))
     return ranked[:k]
 
 
+def _screened(index: VectorIndex, screen: _Screen, q: np.ndarray,
+              k: int) -> list[tuple[str, float]] | None:
+    """Screen and rescore as the module docstring sets out; None where
+    the dense scan must run instead."""
+    qq = float(q @ q)
+    cols = np.flatnonzero(q)
+    n = len(index)
+    cut = n - k - len(screen.loose)  # the k-th best checked row, loose rows at +inf
+    # Speed only. Each column screened costs two passes over n floats; at
+    # 20,000 x 256 (one BLAS thread, 2-core VM), with 64 query columns the
+    # screened search took 2.6 ms against 5.1 dense after a 13 ms idle gap
+    # and 2.2 vs 3.2 back to back, with 96 columns 3.5 vs 5.0 and 3.0 vs 2.1.
+    if not (_Q_RANGE[0] <= qq <= _Q_RANGE[1] and 4 * len(cols) <= index.dim and cut >= 0):
+        return None
+    scores = np.zeros(n)
+    term = np.empty(n)
+    for col in cols.tolist():
+        np.multiply(screen.counts[col], q[col], out=term)
+        scores += term
+    scores *= screen.scale
+    scores[screen.loose] = np.inf
+    margin = (4 * index.dim + 64) * _U * math.sqrt(qq)
+    groups = np.zeros((n + 3) // 4, dtype=bool)
+    groups[np.flatnonzero(scores >= np.partition(scores, cut)[cut] - margin) >> 2] = True
+    groups = np.flatnonzero(groups)
+    # Speed only, same set-up: with a tie group spread over 1,178 groups
+    # (n/17) both searches took ~5.6 ms after a gap, over 2,073 (n/10)
+    # the screened one took 9.5 ms against 7.5.
+    if 16 * len(groups) > n:
+        return None
+    rows, scores = _rescore(index._matrix, groups, q)
+    if not np.isfinite(scores).all():
+        return None
+    return _top_k(index._ids, rows, scores, k)
+
+
 def search(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[str, float]]:
     """Exact top-k by inner product; ties break by doc_id ascending.
 
-    Scores are bit for bit those of the dense one-thread ``matrix @ q``.
-    An index with a count copy is screened on it first and only the
-    candidates' 4-row groups are rescored (module docstring).
+    Scores are bit for bit those of the dense ``matrix @ q``. An index
+    of at least _SCREEN_MIN_ROWS rows is screened on a count copy, built
+    on its first search, and only the candidates' 4-row groups are
+    rescored; that path runs only where a probe found the rescoring to
+    give the matmul's bits, which holds with one BLAS thread (module
+    docstring).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -494,21 +583,13 @@ def search(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[str, flo
         raise DimensionMismatchError(f"query has shape {q.shape}, index dim is {index.dim}")
     if len(index) == 0:
         return []
-    if index._counts is not None:
-        ranked = _screened(index, q, k)
+    screen = index._screen
+    if screen is not None:
+        ranked = _screened(index, screen, q, k)
         if ranked is not None:
             return ranked
     scores = index._matrix @ q
-    ids = index._ids
-    if k < len(scores):
-        top = np.partition(scores, -k)[-k:].tolist()  # top[0] is the k-th best
-        # NaN compares false both ways, so it has no rank to cut at; only
-        # the full sort reproduces the brute-force order then.
-        if not any(map(math.isnan, top)):
-            rows = np.flatnonzero(scores >= top[0]).tolist()
-            ids, scores = [ids[r] for r in rows], scores[rows]
-    ranked = sorted(zip(ids, scores.tolist()), key=lambda e: (-e[1], e[0]))
-    return ranked[:k]
+    return _top_k(index._ids, np.arange(len(scores)), scores, k)
 
 
 def build_prompt(transcript: str, results: Sequence[tuple[str, float]],

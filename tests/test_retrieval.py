@@ -6,12 +6,16 @@ import os
 import random
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from voxbench import retrieval
 from voxbench.errors import (
     CacheFormatError,
     CacheVersionError,
@@ -442,6 +446,37 @@ class TestSingleCopy:
         assert peak < self.budget(docs)
 
 
+_TWO_THREAD_SCRIPT = """
+import random
+import numpy as np
+from voxbench import retrieval
+from voxbench.retrieval import Document, VectorIndex, embed, search
+
+rng = random.Random(3)
+nprng = np.random.default_rng(3)
+vocab = [f"w{i}" for i in range(3000)]
+for n in (2001, 2003, 4096):
+    docs = [Document(f"d{i:05d}", " ".join(rng.choices(vocab, k=40))) for i in range(n)]
+    index = VectorIndex.from_documents(docs, 256)
+    matrix = index._matrix
+    if index._screen is not None:
+        groups = np.arange((n + 3) // 4)
+        for _ in range(40):
+            q = nprng.standard_normal(256)
+            rows, scores = retrieval._rescore(matrix, groups, q)
+            assert np.array_equal(scores, matrix @ q), n
+    for j in range(40):
+        q = embed(" ".join(rng.choices(vocab, k=12)), 256)
+        if j % 2:
+            q = np.where(q > 0, nprng.standard_normal(256), 0.0)
+        full = sorted(zip(index.doc_ids, (matrix @ q).tolist()), key=lambda e: (-e[1], e[0]))
+        for k in (1, 3):
+            got = [(d, repr(s)) for d, s in search(index, q, k)]
+            assert got == [(d, repr(s)) for d, s in full[:k]], (n, j, k)
+    print("ok")
+"""
+
+
 def exact(results):
     """Results compared by score bits: repr, since nan != nan."""
     return [(doc_id, repr(score)) for doc_id, score in results]
@@ -572,6 +607,7 @@ class TestSearch:
         docs = [Document(f"filler-{i:04d}", "f0") for i in range(n - tail)]
         docs += [Document(f"top-{i}", " ".join(words[i:])) for i in range(tail)]
         index = VectorIndex.from_documents(docs, 256)
+        assert index._screen is not None  # the one-thread matmul passed the probe
         others = np.flatnonzero(embed("f0", 256) == 0)
         for _ in range(20):
             # Signed weights on a quarter of the columns, none on the fillers' one.
@@ -613,7 +649,7 @@ class TestSearch:
             path = tmp_path / f"nan-{nan_row}.tvix"
             save_index(VectorIndex([d.doc_id for d in docs], matrix, by_id), path)
             index = load_index(path)
-            assert set(range(7, 11 + nan_row)) <= set(index._loose.tolist())
+            assert set(range(7, 11 + nan_row)) <= set(index._screen.loose.tolist())
             for query in queries:
                 for k in (1, 3, 10):
                     assert exact(search(index, query, k)) == exact(
@@ -635,6 +671,44 @@ class TestSearch:
                 parts = [matrix[s:s + 4] @ query for s in range(0, last, 4)]
                 parts.append(matrix[last:] @ query)
                 assert np.array_equal(np.concatenate(parts), full)
+
+    def test_no_count_copy_where_the_rescoring_misses_a_bit(self, monkeypatch):
+        """Where a row group's rescoring does not give the matmul's bits
+        (OpenBLAS splitting the gemv across threads), the index keeps no
+        count copy and every search is the dense scan."""
+        rng = random.Random(9)
+        vocab = [f"term{i}" for i in range(40)]
+        docs = [Document(f"doc{i:04d}", " ".join(rng.choices(vocab, k=rng.randint(1, 12))))
+                for i in range(_SCREEN_MIN_ROWS + 2)]
+        queries = [embed(" ".join(rng.choices(vocab, k=5)), 32) for _ in range(20)]
+        assert VectorIndex.from_documents(docs, 32)._screen is not None
+        real = retrieval._rescore
+
+        def one_ulp_off(matrix, groups, q):
+            rows, scores = real(matrix, groups, q)
+            scores[-1] = np.nextafter(scores[-1], np.inf)
+            return rows, scores
+
+        monkeypatch.setattr(retrieval, "_rescore", one_ulp_off)
+        index = VectorIndex.from_documents(docs, 32)
+        assert index._screen is None
+        for query in queries:
+            for k in (1, 3):
+                assert exact(search(index, query, k)) == exact(full_sort_topk(index, query, k))
+
+    def test_two_blas_threads_still_match_the_full_matmul(self):
+        """Without the one-thread pin: in a process with two OpenBLAS
+        threads, an index whose probe passed rescores every row as the
+        full matmul does on 40 more dense queries, and search matches a
+        full sort of that process's matmul."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2",
+               "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "2"}
+        done = subprocess.run([sys.executable, "-c", _TWO_THREAD_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["ok", "ok", "ok"]
 
     def test_k_larger_than_index_returns_everything(self, small_index):
         results = search(small_index, embed("signal", small_index.dim), 999)
