@@ -9,13 +9,23 @@ to each other, never against scores from a production embedder.
 
 Search is exact: it returns what sorting every row's score from the
 dense one-thread matmul ``matrix @ q`` gives, by score descending, ties
-by doc_id ascending. An index of fewer than _SCREEN_MIN_ROWS rows, and
-any query the screen below cannot bound, is scanned exactly so: score
-every row, partition the scores to find the k-th best, keep every row
-scoring at least that much (so a tie group straddling the boundary
-survives whole) and sort only those.
+by doc_id ascending, in a process with any number of BLAS threads.
+Every score comes from one rule, _rescore: each 4-row group of the
+matrix is scored by one gemv call, a partial last group at the end of a
+call that starts with the group before it. OpenBLAS's gemv scores rows
+four at a time and the rest with a tail kernel that rounds differently,
+so this gives each row its bits in the one-thread matmul. A call of at
+most 7 rows is never split across threads, as a large gemv is: with two
+threads OpenBLAS splits it into row ranges, and a range that does not
+end on a multiple of 4 leaves rows to the tail kernel. (Checked bit for
+bit, two threads against one, at dims 8, 32, 64, 256, 1,024 and 4,096
+with OpenBLAS 0.3.31.)
+The scored rows are ranked by partitioning to find the k-th best,
+keeping every row scoring at least that much (so a tie group straddling
+the boundary survives whole) and sorting only those.
 
-A larger index is searched in two stages. Its rows are unit count
+An index of fewer than _SCREEN_MIN_ROWS rows scores every group. A
+larger index is searched in two stages. Its rows are unit count
 vectors, so its first search keeps the integer counts as a column-major
 uint8 copy (1/8 of the float64 matrix) and checks, row by row, that the
 stored vector is within 21u of counts / |counts| (u = 2**-53); a row
@@ -32,26 +42,16 @@ for the copy.
    score is a candidate (twice the bound, plus slack for the roundings
    of |q| and of the cut), and any other row has k rows with strictly
    higher matmul scores.
-2. Rescore: score the candidates' whole 4-row groups of the original
-   matrix with one gemv per group, a partial last group at the end of a
-   call that starts with the group before it. OpenBLAS's gemv scores
-   rows four at a time and the rest with a tail kernel that rounds
-   differently, so this gives each row its bits in the full matmul. The
-   final ranking comes from these scores, never from the screen: a tie
-   between two real numbers is often broken by an ulp of the matmul.
+2. Rescore: score the candidates' groups. The final ranking comes from
+   these scores, never from the screen: a tie between two real numbers
+   is often broken by an ulp of the matmul.
 
-Those bits are the full matmul's only with one BLAS thread, as the
-benchmark and the tests pin it, and as a caller of ``search`` should:
-with more, OpenBLAS splits a large gemv into row ranges, and a range
-that does not end on a multiple of 4 leaves rows to the tail kernel.
-So before the copy is built, _PROBES seeded dense queries are scored
-both ways over every row, and if any bit differs the index keeps no
-copy and every search is the dense scan. The dense scan also runs when
-the query has more nonzero columns than a quarter of dim, |q|^2 is
-outside _Q_RANGE or not finite, there are not k checked rows, the
-candidates' groups number more than 1/16 of the rows, or a rescored
-score is not finite. The cut-offs on columns and groups only choose the
-faster path; their measurements are at the code.
+Every group is scored instead when the query has more nonzero columns
+than a quarter of dim, |q|^2 is outside _Q_RANGE or not finite, there
+are not k checked rows, the candidates' groups number more than 1/16 of
+the rows, or a rescored score is not finite (a NaN row). The cut-offs on
+columns and groups only choose the faster path; their measurements are
+at the code.
 
 Index cache file layout, little-endian, no padding:
 
@@ -69,7 +69,6 @@ import functools
 import hashlib
 import math
 import os
-import random
 import shutil
 import struct
 from dataclasses import dataclass
@@ -104,17 +103,15 @@ _WRITE_BUFFER = 1 << 20
 _CHUNK_CELLS = 1 << 17
 # A corpus file is read in pieces of this size; most fit in one.
 _READ_SIZE = 1 << 16
-# An index with fewer rows has no count copy and search scans it densely.
+# An index with fewer rows has no count copy and search scores every row.
 # Medians of 12-word queries at dim 256 after a 13 ms idle gap (one BLAS
-# thread, 2-core VM), screened against dense: 0.46 vs 0.38 ms at 512
-# rows, 0.50 vs 0.48 at 1,024, 0.54 vs 0.76 at 2,048, 0.59 vs 1.18 at 4,096.
+# thread, 2-core VM), screened against every group scored: 0.41 vs 0.38 ms
+# at 512 rows, 0.41 vs 0.53 at 1,024, 0.44 vs 0.80 at 2,048, 0.50 vs 1.33
+# at 4,096.
 _SCREEN_MIN_ROWS = 1024
 # _count_copy reads back this many matrix cells per pass (128 rows at
 # dim 256): its two float64 buffers stay in a core's L2 cache.
 _SCREEN_CELLS = 1 << 15
-# Dense queries on which _rescore must match the full matmul before an
-# index is screened.
-_PROBES = 4
 _U = 2.0 ** -53  # unit roundoff of float64
 # search screens a query only when |q|^2 is in this range: no product or
 # sum that the margin covers can overflow, and underflow stays far below it.
@@ -231,51 +228,35 @@ def _count_copy(matrix: np.ndarray) -> _Screen:
     return _Screen(counts, scale, np.flatnonzero(scale == 0.0))
 
 
-def _rescore(matrix: np.ndarray, groups: np.ndarray,
+def _rescore(matrix: np.ndarray, groups: np.ndarray | None,
              q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Score the rows of the sorted 4-row ``groups`` of ``matrix`` with
-    one gemv per group, a partial last group at the end of a call that
-    starts with the group before it. Returns the rows and their scores.
+    """Score the rows of the sorted 4-row ``groups`` of ``matrix`` (None:
+    every group) with one gemv per group, a partial last group at the end
+    of a call that starts with the group before it. Returns the rows and
+    their scores.
 
     gemv scores rows four at a time from the start of its call and the
-    rest with a tail kernel that rounds differently, so with one BLAS
-    thread this gives each row its bits in the full ``matrix @ q``.
-    numpy runs a stacked matmul as one gemv per 4-row block, so no call
-    covers more than 7 rows and none is split across threads.
+    rest with a tail kernel that rounds differently, so this gives each
+    row its bits in the one-thread full ``matrix @ q``. numpy runs a
+    stacked matmul as one gemv per 4-row block, so no call covers more
+    than 7 rows and none is split across threads, however many BLAS
+    threads the process has.
     """
     n, dim = matrix.shape
+    if n < 8:  # the last call below would cover the whole matrix
+        return np.arange(n), matrix @ q
     last = n // 4 - (n % 4 > 0)  # the last call runs from this group to the end
+    if groups is None:
+        groups = np.arange((n + 3) // 4)
     head = groups[groups < last]
     rows = (4 * head[:, np.newaxis] + np.arange(4)).ravel()
-    # Every group scored (the probe below): the matrix itself, not a copy.
+    # Every group before the last call: the matrix itself, not a copy.
     blocks = matrix[:4 * last] if len(head) == last else matrix[rows]
     scores = (blocks.reshape(-1, 4, dim) @ q).ravel()
     if len(head) < len(groups):
         rows = np.concatenate([rows, np.arange(4 * last, n)])
         scores = np.concatenate([scores, matrix[4 * last:] @ q])
     return rows, scores
-
-
-def _rescore_matches_the_matmul(matrix: np.ndarray) -> bool:
-    """Whether _rescore gives every row of ``matrix`` the bits of the full
-    matmul on _PROBES seeded dense probe queries.
-
-    It does with one BLAS thread. With more, OpenBLAS splits a large gemv
-    into row ranges, and a range that does not end on a multiple of 4
-    leaves rows to the tail kernel. With two threads one probe caught
-    that in 33-40 of 40 draws at each of 2,001 to 20,001 rows of dim
-    256. The probes come from the random module: loading numpy.random
-    would add ~7 MB of resident memory.
-    """
-    n, dim = matrix.shape
-    groups = np.arange((n + 3) // 4)
-    rng = random.Random(0)
-    for _ in range(_PROBES):
-        q = np.array([rng.random() for _ in range(dim)]) * 2.0 - 1.0
-        _rows, scores = _rescore(matrix, groups, q)
-        if not np.array_equal(scores.view(np.uint64), (matrix @ q).view(np.uint64)):
-            return False
-    return True
 
 
 class VectorIndex:
@@ -313,11 +294,9 @@ class VectorIndex:
     def _screen(self) -> _Screen | None:
         """The count copy that ``search`` screens on, built on the first
         search, so an index that is only saved never builds it. None for
-        an index of fewer than _SCREEN_MIN_ROWS rows, and where this
-        process's matmul does not score rows as _rescore does."""
-        if len(self) < _SCREEN_MIN_ROWS or not _rescore_matches_the_matmul(self._matrix):
-            return None
-        return _count_copy(self._matrix)
+        an index of fewer than _SCREEN_MIN_ROWS rows, which every search
+        scores whole."""
+        return _count_copy(self._matrix) if len(self) >= _SCREEN_MIN_ROWS else None
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -530,18 +509,23 @@ def _top_k(ids: list[str], rows: np.ndarray, scores: np.ndarray,
     return ranked[:k]
 
 
-def _screened(index: VectorIndex, screen: _Screen, q: np.ndarray,
-              k: int) -> list[tuple[str, float]] | None:
-    """Screen and rescore as the module docstring sets out; None where
-    the dense scan must run instead."""
+def _candidates(index: VectorIndex, q: np.ndarray, k: int) -> np.ndarray | None:
+    """The sorted 4-row groups that hold every row the screen (module
+    docstring) cannot rule out of the top k; None, for every group, where
+    the index has no count copy or the screen cannot bound ``q`` or does
+    not pay."""
+    screen = index._screen
+    if screen is None:
+        return None
     qq = float(q @ q)
     cols = np.flatnonzero(q)
     n = len(index)
     cut = n - k - len(screen.loose)  # the k-th best checked row, loose rows at +inf
     # Speed only. Each column screened costs two passes over n floats; at
     # 20,000 x 256 (one BLAS thread, 2-core VM), with 64 query columns the
-    # screened search took 2.6 ms against 5.1 dense after a 13 ms idle gap
-    # and 2.2 vs 3.2 back to back, with 96 columns 3.5 vs 5.0 and 3.0 vs 2.1.
+    # screened search took 2.0-2.4 ms against 2.2-2.5 for every group after
+    # a 13 ms idle gap and 2.0 vs 2.0-2.1 back to back, with 96 columns
+    # 5.7-6.3 vs 5.9-6.3 and 2.9-3.0 vs 2.8-2.9.
     if not (_Q_RANGE[0] <= qq <= _Q_RANGE[1] and 4 * len(cols) <= index.dim and cut >= 0):
         return None
     scores = np.zeros(n)
@@ -555,26 +539,20 @@ def _screened(index: VectorIndex, screen: _Screen, q: np.ndarray,
     groups = np.zeros((n + 3) // 4, dtype=bool)
     groups[np.flatnonzero(scores >= np.partition(scores, cut)[cut] - margin) >> 2] = True
     groups = np.flatnonzero(groups)
-    # Speed only, same set-up: with a tie group spread over 1,178 groups
-    # (n/17) both searches took ~5.6 ms after a gap, over 2,073 (n/10)
-    # the screened one took 9.5 ms against 7.5.
-    if 16 * len(groups) > n:
-        return None
-    rows, scores = _rescore(index._matrix, groups, q)
-    if not np.isfinite(scores).all():
-        return None
-    return _top_k(index._ids, rows, scores, k)
+    # Speed only, same set-up: with a tie group spread over 1,177 groups
+    # (n/17) the screened search took 4.2 ms against 6.6 for every group
+    # after a gap, over 2,000 (n/10) 7.4 against 6.9.
+    return None if 16 * len(groups) > n else groups
 
 
 def search(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[str, float]]:
     """Exact top-k by inner product; ties break by doc_id ascending.
 
-    Scores are bit for bit those of the dense ``matrix @ q``. An index
-    of at least _SCREEN_MIN_ROWS rows is screened on a count copy, built
-    on its first search, and only the candidates' 4-row groups are
-    rescored; that path runs only where a probe found the rescoring to
-    give the matmul's bits, which holds with one BLAS thread (module
-    docstring).
+    Scores are bit for bit those of the one-thread dense ``matrix @ q``,
+    whatever the process's BLAS thread count: every row scored comes from
+    one gemv call of at most 7 rows. An index of at least _SCREEN_MIN_ROWS
+    rows is screened on a count copy, built on its first search, and only
+    the candidates' 4-row groups are scored (module docstring).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -583,13 +561,13 @@ def search(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[str, flo
         raise DimensionMismatchError(f"query has shape {q.shape}, index dim is {index.dim}")
     if len(index) == 0:
         return []
-    screen = index._screen
-    if screen is not None:
-        ranked = _screened(index, screen, q, k)
-        if ranked is not None:
-            return ranked
-    scores = index._matrix @ q
-    return _top_k(index._ids, np.arange(len(scores)), scores, k)
+    for groups in (_candidates(index, q, k), None):
+        rows, scores = _rescore(index._matrix, groups, q)
+        # A non-finite score is a NaN row's. NaN has no rank, so only a
+        # sort of every row puts it where the full sort does.
+        if groups is None or np.isfinite(scores).all():
+            break
+    return _top_k(index._ids, rows, scores, k)
 
 
 def build_prompt(transcript: str, results: Sequence[tuple[str, float]],

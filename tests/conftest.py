@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import os
 
-# One BLAS thread, as benchmarks/run.py sets, so the dense matmul behind
-# support.full_sort_topk is the one that search's scores reproduce: with
-# more threads OpenBLAS splits a large gemv into row ranges whose ends
-# round differently. OpenBLAS reads this once, when numpy is imported.
+# One BLAS thread, as benchmarks/run.py sets, for the reference matmul
+# behind support.full_sort_topk: with more threads OpenBLAS splits a large
+# gemv into row ranges whose ends round differently, while search scores
+# rows as the one-thread matmul does at any thread count. OpenBLAS reads
+# this once, when numpy is imported.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 

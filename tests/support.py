@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from voxbench.retrieval import VectorIndex
+from voxbench.retrieval import Document, VectorIndex, embed
 from voxbench.stages import StageClock
 from voxbench.types import StageTimings
 
@@ -113,9 +113,11 @@ def brute_force_topk(entries: list[tuple[str, list[float]]],
     return scored[:k]
 
 
-# Exact-ranking oracle: the dense one-thread matrix product (conftest.py
-# pins BLAS to one thread) whose scores ``search`` reproduces bit for bit,
-# with every score sorted and no partition, screen or rescoring step.
+# Exact-ranking oracle: the dense one-thread matrix product whose scores
+# ``search`` reproduces bit for bit, with every score sorted and no
+# partition, screen or rescoring step. conftest.py pins BLAS to one thread
+# for this matmul's sake: a large one splits across threads and rounds
+# differently, while ``search`` gives the same bits at any thread count.
 
 def full_sort_topk(index: VectorIndex, query: np.ndarray,
                    k: int) -> list[tuple[str, float]]:
@@ -123,6 +125,26 @@ def full_sort_topk(index: VectorIndex, query: np.ndarray,
     matrix = np.array([vector for _, vector in index.entries])
     scores = (matrix @ query).tolist()
     return sorted(zip(index.doc_ids, scores), key=lambda e: (-e[1], e[0]))[:k]
+
+
+def search_cases():
+    """Seeded (index, query) pairs for comparing ``search`` across
+    processes: indexes of 5 to 4,096 rows at dim 256, below and above the
+    screening size, with and without a partial last 4-row group, each
+    with ten count, signed, dense (every column) and NaN queries."""
+    rng = random.Random(3)
+    nprng = np.random.default_rng(3)
+    vocab = [f"w{i}" for i in range(3000)]
+    for n in (5, 1000, 2001, 2003, 4096):
+        docs = [Document(f"d{i:05d}", " ".join(rng.choices(vocab, k=40))) for i in range(n)]
+        index = VectorIndex.from_documents(docs, 256)
+        for _ in range(10):
+            count = embed(" ".join(rng.choices(vocab, k=12)), 256)
+            signed = np.where(count > 0, nprng.standard_normal(256), 0.0)
+            nan = count.copy()
+            nan[nprng.integers(256)] = np.nan
+            for query in (count, signed, nprng.standard_normal(256), nan):
+                yield index, query
 
 
 # ---------------------------------------------------------------------------
