@@ -126,8 +126,8 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
         failures.append(("asr", str(exc)))
 
     # 2. Retrieval: real embed/search/prompt work plus modeled backend
-    # latency. The real work is measured in real (unscaled) seconds; only
-    # modeled delays participate in time scaling.
+    # latency. The real work counts once, in real (unscaled) seconds: in
+    # rag_s, and in every later instant through the shifted run_start.
     if not failures:
         try:
             rag_begin = clock.now()
@@ -135,6 +135,7 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
             hits = search(index, query_vec, config.retrieval_k)
             text = build_prompt(transcript.text, hits, index)
             compute_s = clock.now() - rag_begin
+            run_start += compute_s * (1.0 - scale)
             rag_s = compute_s + clock.pause(
                 config.rag_latency_s * clock.jitter(config.jitter_frac))
             retrieved, prompt = hits, text  # reported only once retrieval finished

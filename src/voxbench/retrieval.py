@@ -25,33 +25,32 @@ keeping every row scoring at least that much (so a tie group straddling
 the boundary survives whole) and sorting only those.
 
 An index of fewer than _SCREEN_MIN_ROWS rows scores every group. A
-larger index is searched in two stages. Its rows are unit count
-vectors, so its first search keeps the integer counts as a column-major
-uint8 copy (1/8 of the float64 matrix) and checks, row by row, that the
-stored vector is within 21u of counts / |counts| (u = 2**-53); a row
-that is not (NaN, a negative entry, a count above 255, a foreign
-vector) is "loose". An index that is only built and saved never pays
-for the copy.
+larger index is searched in two stages, on a copy its first search
+builds (an index that is only built and saved never pays for it): the
+matrix on a fixed grid, ``c = rint(127 r)``, column-major as int8.
 
-1. Screen: score every row as (counts . q) / |counts| in float64,
-   reading only the query's nonzero columns, with loose rows at +inf.
-   Against the matmul score that differs by at most (2 d + 24) u |q|
-   (d = dim): d u from the matmul's rounding in any summation order,
-   (d + 3) u from the screen's and 21 u from the row check. So every
-   row within ``margin = (4 d + 64) u |q|`` of the k-th best screen
-   score is a candidate (twice the bound, plus slack for the roundings
-   of |q| and of the cut), and any other row has k rows with strictly
-   higher matmul scores.
+1. Screen: score every row as ``s = c . q`` in float64, reading only
+   the query's nonzero columns, at most d/4 of them (d = dim, u = 2**-53,
+   |q|_1 = sum |q_j|). ``127 r_j`` rounds once, rint moves it at most
+   1/2 and a unit row has |r_j| <= 1 + _NORM_TOL, so the grid puts s / 127
+   within |q|_1 (1/254 + 1.01 u) of the real dot product; to first order
+   the screen's sum adds (d/4) u |q|_1 and the matmul's, in any order,
+   d u |q|_1. So s / 127 is within ``B = |q|_1 (1/254 + (2 d + 4) u)`` of
+   the matmul score p, and the slack of (3d/4 + 2) u |q|_1 covers the
+   second-order terms and the roundings of |q|_1, the margin and the cut
+   (below (d/127 + 2) u |q|_1). A row is a candidate when its s is within
+   ``254 B`` of the k-th best. Any other row x has s_x < s_y - 254 B for k
+   rows y, so p_x < s_x / 127 + B < s_y / 127 - B < p_y: k rows score
+   strictly higher in the matmul.
 2. Rescore: score the candidates' groups. The final ranking comes from
    these scores, never from the screen: a tie between two real numbers
    is often broken by an ulp of the matmul.
 
 Every group is scored instead when the query has more nonzero columns
-than a quarter of dim, |q|^2 is outside _Q_RANGE or not finite, there
-are not k checked rows, the candidates' groups number more than 1/16 of
-the rows, or a rescored score is not finite (a NaN row). The cut-offs on
-columns and groups only choose the faster path; their measurements are
-at the code.
+than a quarter of dim, |q|^2 is outside _Q_RANGE, k is more than the
+number of rows, or the candidates' groups number more than 1/16 of the
+rows. The cut-offs on columns and groups only choose the faster path;
+their measurements are at the code.
 
 Index cache file layout, little-endian, no padding:
 
@@ -74,7 +73,7 @@ import struct
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -103,14 +102,14 @@ _WRITE_BUFFER = 1 << 20
 _CHUNK_CELLS = 1 << 17
 # A corpus file is read in pieces of this size; most fit in one.
 _READ_SIZE = 1 << 16
-# An index with fewer rows has no count copy and search scores every row.
+# An index with fewer rows has no grid copy and search scores every row.
 # Medians of 12-word queries at dim 256 after a 13 ms idle gap (one BLAS
 # thread, 2-core VM), screened against every group scored: 0.41 vs 0.38 ms
 # at 512 rows, 0.41 vs 0.53 at 1,024, 0.44 vs 0.80 at 2,048, 0.50 vs 1.33
 # at 4,096.
 _SCREEN_MIN_ROWS = 1024
-# _count_copy reads back this many matrix cells per pass (128 rows at
-# dim 256): its two float64 buffers stay in a core's L2 cache.
+# _grid_copy rounds this many matrix cells per pass (128 rows at dim 256):
+# its one float64 buffer stays in a core's L2 cache.
 _SCREEN_CELLS = 1 << 15
 _U = 2.0 ** -53  # unit roundoff of float64
 # search screens a query only when |q|^2 is in this range: no product or
@@ -171,61 +170,20 @@ def embed(text: str, dim: int) -> np.ndarray:
     return vec
 
 
-class _Screen(NamedTuple):
-    """An index's count copy; see _count_copy."""
-
-    counts: np.ndarray
-    scale: np.ndarray
-    loose: np.ndarray
-
-
-def _count_copy(matrix: np.ndarray) -> _Screen:
-    """Read every row back as the integer counts it was normalised from.
-
-    With ``least`` a row's smallest positive entry and ``c`` the row
-    divided by it, rounded and stored as uint8, the row passes when
-    ``c`` is not all zero, ``least * |c|`` is within 8u of 1 and
-    ``|row / least - c|`` is within 8u / least (2-norms, u = 2**-53).
-    Counting the roundings of those checks, a row that passes is within
-    21u of ``c / |c|``. Every row that ``from_documents`` builds passes
-    unless one of its counts is not a multiple of its smallest count or
-    is more than 255 times it.
-
-    Returns the counts column-major as uint8 (dim x rows), 1 / |c| per
-    row, and the loose rows, those that fail (NaN, a negative entry, a
-    foreign vector); their counts and 1 / |c| are 0.
-    """
+def _grid_copy(matrix: np.ndarray) -> np.ndarray:
+    """The matrix on a fixed grid, ``rint(127 * row)``, column-major as
+    int8 (dim x rows). A row within _NORM_TOL of unit norm has every
+    ``|127 r| <= 127.0002``, so each code fits."""
     n, dim = matrix.shape
-    counts = np.empty((dim, n), dtype=np.uint8)
-    scale = np.empty(n)
-    step = min(n, max(1, _SCREEN_CELLS // dim))
-    scaled, rounded = np.empty((2, step, dim))
-    narrow = np.empty((step, dim), dtype=np.uint8)
-    least, squares, misfit = np.empty((3, step))
-    with np.errstate(all="ignore"):
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            rows, m = matrix[start:stop], stop - start
-            x, c, c8 = scaled[:m], rounded[:m], narrow[:m]
-            # As unsigned bits minus one, 0 and every negative float sort
-            # above every positive one.
-            np.subtract(rows.view(np.uint64), 1, out=x.view(np.uint64))
-            np.add(x.view(np.uint64).min(axis=1), 1, out=least[:m].view(np.uint64))
-            np.multiply(rows, (1.0 / least[:m])[:, np.newaxis], out=x)
-            # A count out of uint8 range comes back as another value, and
-            # the misfit below then fails the row.
-            np.rint(x, out=c8, casting="unsafe")
-            np.copyto(c, c8)
-            x -= c
-            np.einsum("ij,ij->i", c, c, out=squares[:m])
-            np.einsum("ij,ij->i", x, x, out=misfit[:m])
-            norms = np.sqrt(squares[:m])
-            fits = ((norms > 0) & (np.abs(least[:m] * norms - 1.0) <= 8 * _U)
-                    & (misfit[:m] * least[:m] * least[:m] <= (8 * _U) ** 2))
-            c8[~fits] = 0
-            counts[:, start:stop] = c8.T
-            scale[start:stop] = np.where(fits, 1.0 / norms, 0.0)
-    return _Screen(counts, scale, np.flatnonzero(scale == 0.0))
+    codes = np.empty((dim, n), dtype=np.int8)
+    step = max(1, _SCREEN_CELLS // dim)
+    scaled = np.empty((min(n, step), dim))
+    for start in range(0, n, step):
+        x = scaled[:min(step, n - start)]
+        np.multiply(matrix[start:start + step], 127.0, out=x)
+        np.rint(x, out=x)
+        codes[:, start:start + step] = x.T
+    return codes
 
 
 def _rescore(matrix: np.ndarray, groups: np.ndarray | None,
@@ -279,8 +237,8 @@ class VectorIndex:
             raise ValueError("duplicate doc_id in index entries")
         if set(ids) != set(documents):
             raise ValueError("entries and documents must cover the same doc_ids")
-        # A NaN norm compares false, so rows holding NaN are accepted.
-        off = np.abs(np.sqrt(np.einsum("ij,ij->i", matrix, matrix)) - 1.0) > _NORM_TOL
+        # Written so that a NaN norm, which compares false, counts as off.
+        off = ~(np.abs(np.sqrt(np.einsum("ij,ij->i", matrix, matrix)) - 1.0) <= _NORM_TOL)
         if off.any():
             row = int(np.argmax(off))
             norm = float(np.linalg.norm(matrix[row]))
@@ -291,12 +249,11 @@ class VectorIndex:
         self._matrix = matrix
 
     @functools.cached_property
-    def _screen(self) -> _Screen | None:
-        """The count copy that ``search`` screens on, built on the first
-        search, so an index that is only saved never builds it. None for
-        an index of fewer than _SCREEN_MIN_ROWS rows, which every search
-        scores whole."""
-        return _count_copy(self._matrix) if len(self) >= _SCREEN_MIN_ROWS else None
+    def _screen(self) -> np.ndarray | None:
+        """The grid copy that ``search`` screens on, built on the first
+        search (an index that is only saved never builds it); None below
+        _SCREEN_MIN_ROWS rows, where every search scores every row."""
+        return _grid_copy(self._matrix) if len(self) >= _SCREEN_MIN_ROWS else None
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -498,29 +455,24 @@ def _top_k(ids: list[str], rows: np.ndarray, scores: np.ndarray,
     the k-th best are sorted, so a tie group straddling the boundary
     survives whole."""
     if k < len(scores):
-        top = np.partition(scores, -k)[-k:].tolist()  # top[0] is the k-th best
-        # NaN compares false both ways, so it has no rank to cut at; only
-        # the full sort reproduces the brute-force order then.
-        if not any(map(math.isnan, top)):
-            keep = scores >= top[0]
-            rows, scores = rows[keep], scores[keep]
+        keep = scores >= np.partition(scores, -k)[-k]
+        rows, scores = rows[keep], scores[keep]
     ranked = sorted(zip([ids[r] for r in rows.tolist()], scores.tolist()),
                     key=lambda e: (-e[1], e[0]))
     return ranked[:k]
 
 
-def _candidates(index: VectorIndex, q: np.ndarray, k: int) -> np.ndarray | None:
+def _candidates(index: VectorIndex, q: np.ndarray, qq: float, k: int) -> np.ndarray | None:
     """The sorted 4-row groups that hold every row the screen (module
-    docstring) cannot rule out of the top k; None, for every group, where
-    the index has no count copy or the screen cannot bound ``q`` or does
-    not pay."""
-    screen = index._screen
-    if screen is None:
+    docstring) cannot rule out of the top k for the finite query ``q``
+    with ``qq = q @ q``; None, for every group, where the index has no
+    grid copy or the screen cannot bound ``q`` or does not pay."""
+    codes = index._screen
+    if codes is None:
         return None
-    qq = float(q @ q)
     cols = np.flatnonzero(q)
     n = len(index)
-    cut = n - k - len(screen.loose)  # the k-th best checked row, loose rows at +inf
+    cut = n - k  # the k-th best screen score
     # Speed only. Each column screened costs two passes over n floats; at
     # 20,000 x 256 (one BLAS thread, 2-core VM), with 64 query columns the
     # screened search took 2.0-2.4 ms against 2.2-2.5 for every group after
@@ -531,14 +483,11 @@ def _candidates(index: VectorIndex, q: np.ndarray, k: int) -> np.ndarray | None:
     scores = np.zeros(n)
     term = np.empty(n)
     for col in cols.tolist():
-        np.multiply(screen.counts[col], q[col], out=term)
+        np.multiply(codes[col], q[col], out=term)
         scores += term
-    scores *= screen.scale
-    scores[screen.loose] = np.inf
-    margin = (4 * index.dim + 64) * _U * math.sqrt(qq)
-    groups = np.zeros((n + 3) // 4, dtype=bool)
-    groups[np.flatnonzero(scores >= np.partition(scores, cut)[cut] - margin) >> 2] = True
-    groups = np.flatnonzero(groups)
+    margin = float(np.abs(q).sum()) * (1.0 + 254 * (2 * index.dim + 4) * _U)
+    rows = np.flatnonzero(scores >= np.partition(scores, cut)[cut] - margin)
+    groups = np.flatnonzero(np.bincount(rows >> 2, minlength=(n + 3) // 4))
     # Speed only, same set-up: with a tie group spread over 1,177 groups
     # (n/17) the screened search took 4.2 ms against 6.6 for every group
     # after a gap, over 2,000 (n/10) 7.4 against 6.9.
@@ -551,22 +500,23 @@ def search(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[str, flo
     Scores are bit for bit those of the one-thread dense ``matrix @ q``,
     whatever the process's BLAS thread count: every row scored comes from
     one gemv call of at most 7 rows. An index of at least _SCREEN_MIN_ROWS
-    rows is screened on a count copy, built on its first search, and only
-    the candidates' 4-row groups are scored (module docstring).
+    rows is screened on an int8 grid copy, built on its first search, and
+    only the candidates' 4-row groups are scored (module docstring). A
+    query whose |q|^2 is not finite raises ValueError; with |q|^2 finite,
+    no partial sum of a unit row's products exceeds |q| in magnitude.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     q = np.asarray(query, dtype=np.float64)
     if q.shape != (index.dim,):
         raise DimensionMismatchError(f"query has shape {q.shape}, index dim is {index.dim}")
+    with np.errstate(over="ignore"):  # reported as the ValueError below
+        qq = float(q @ q)
+    if not math.isfinite(qq):
+        raise ValueError(f"query is not finite: |q|^2 = {qq}")
     if len(index) == 0:
         return []
-    for groups in (_candidates(index, q, k), None):
-        rows, scores = _rescore(index._matrix, groups, q)
-        # A non-finite score is a NaN row's. NaN has no rank, so only a
-        # sort of every row puts it where the full sort does.
-        if groups is None or np.isfinite(scores).all():
-            break
+    rows, scores = _rescore(index._matrix, _candidates(index, q, qq, k), q)
     return _top_k(index._ids, rows, scores, k)
 
 

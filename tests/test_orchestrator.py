@@ -114,6 +114,26 @@ class TestRunUtteranceHappyPath:
         assert not result.failed, result.error
         assert fast_config.llm_ttft_s <= result.timings.ttft_s < 1.0
 
+    def test_retrieval_compute_counts_once_at_1x(self, fast_config, fast_index,
+                                                 monkeypatch):
+        # At scale 0.01 a search that spends 20 ms of real time moves rag_s
+        # and total_s by about 0.02 s, not by 0.02 / 0.01 = 2 s. Real stalls
+        # elsewhere still count at 1/scale, hence the loose ceiling.
+        base = run_utterance(utterance(), fast_config, fast_index, fresh_stages(fast_config))
+
+        def busy_search(*args):
+            end = time.perf_counter() + 0.02
+            while time.perf_counter() < end:
+                pass
+            return search(*args)
+
+        monkeypatch.setattr(orchestrator, "search", busy_search)
+        slow = run_utterance(utterance(), fast_config, fast_index, fresh_stages(fast_config))
+        assert not base.failed and not slow.failed, (base.error, slow.error)
+        assert slow.timings.rag_s >= 0.02
+        assert slow.llm_epoch_at_s >= slow.timings.asr_s + slow.timings.rag_s
+        assert slow.timings.total_s - base.timings.total_s < 1.0
+
     def test_tokenizing_runs_inside_the_first_token_wait(self, fast_index,
                                                          monkeypatch):
         # At scale 1.0 a tokenizer that takes half the first-token wait

@@ -142,6 +142,14 @@ class TestVectorIndex:
         with pytest.raises(ValueError, match="unit norm"):
             VectorIndex(["a"], np.ones((1, 4)), {"a": Document("a", "x")})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        docs = {d: Document(d, d) for d in ("a", "b")}
+        row = embed("b", 8)
+        row[np.flatnonzero(row == 0)[0]] = bad
+        with pytest.raises(ValueError, match="'b' is not unit norm"):
+            VectorIndex(["a", "b"], np.stack([embed("a", 8), row]), docs)
+
     def test_zero_dim_rejected(self):
         with pytest.raises(ValueError, match="dim"):
             VectorIndex([], np.empty((0, 0)), {})
@@ -313,11 +321,12 @@ class TestCacheFile:
     def test_magic_constant(self):
         assert CACHE_MAGIC == b"TVIX"
 
-    def test_round_trip_keeps_every_bit_including_a_nan_row(self, tmp_path):
+    def test_round_trip_keeps_every_bit_of_a_signed_row(self, tmp_path):
         docs = {d: Document(d, f"text of {d}") for d in ("a", "b", "c")}
-        rows = [embed("c", 8), np.full(8, np.nan), embed("route signal signal", 8)]
+        signed = np.array([0.5, -0.5, -0.0, 0.5, 0.0, -0.5, -0.0, 0.0])
+        rows = [embed("c", 8), signed, embed("route signal signal", 8)]
         index = VectorIndex(["c", "a", "b"], np.stack(rows), docs)
-        path = tmp_path / "nan.tvix"
+        path = tmp_path / "signed.tvix"
         save_index(index, path)
         loaded = load_index(path)
         assert loaded.doc_ids == ["c", "a", "b"]
@@ -335,6 +344,14 @@ class TestCacheFile:
         col = np.flatnonzero(small_index.entries[-1][1])[0]
         blob[len(blob) - 8 * (small_index.dim - col) + 7] ^= 0x20
         path.write_bytes(bytes(blob))
+        with pytest.raises(CacheFormatError, match=re.escape(str(path)) + ".*unit norm"):
+            load_index(path)
+
+    def test_nan_row_in_a_cache_is_a_format_error(self, small_index, tmp_path):
+        path = tmp_path / "cache.tvix"
+        save_index(small_index, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-8] + struct.pack("<d", math.nan))  # last value, last row
         with pytest.raises(CacheFormatError, match=re.escape(str(path)) + ".*unit norm"):
             load_index(path)
 
@@ -445,6 +462,18 @@ class TestSingleCopy:
         assert len(index) == self.DOCS
         assert peak < self.budget(docs)
 
+    def test_first_search_builds_the_grid_copy_in_chunks(self):
+        """The int8 copy is dim * n bytes; everything else the first search
+        allocates stays under 1 MiB, so no temporary is the size of the
+        float64 matrix."""
+        docs = self.docs()
+        index = VectorIndex.from_documents(docs, self.DIM)
+        query = embed(" ".join(docs[0].text.split()[:12]), self.DIM)
+        results, peak = self.traced_peak(search, index, query, 3)
+        assert results[0][0] == docs[0].doc_id
+        assert index._screen is not None
+        assert peak < self.DIM * self.DOCS + (1 << 20)
+
 
 _TWO_THREAD_SCRIPT = """
 import json
@@ -457,7 +486,7 @@ for index, query in search_cases():
 
 
 def exact(results):
-    """Results compared by score bits: repr, since nan != nan."""
+    """Results compared by score bits, through repr."""
     return [(doc_id, repr(score)) for doc_id, score in results]
 
 
@@ -499,32 +528,28 @@ class TestSearch:
             assert [d for d, _ in got] == (["best"] + [f"twin-{c}" for c in "abcdef"]
                                            + ["worst"])[:k]
 
-    def test_nan_scores_rank_like_the_full_sort(self, small_index):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, small_index, bad):
         query = embed("signal route", small_index.dim)
-        query[3] = np.nan
-        for k in (1, 3, len(small_index)):
-            assert exact(search(small_index, query, k)) == exact(
-                full_sort_topk(small_index, query, k))
-        nan_row = np.full(8, np.nan)
-        docs = {d: Document(d, d) for d in ("a", "b", "c", "d")}
-        rows = [embed("c", 8), nan_row, embed("d", 8), embed("c", 8)]
-        index = VectorIndex(["c", "a", "d", "b"], np.stack(rows), docs)
-        query = embed("c", 8)
-        for k in (1, 2, 3):
-            assert exact(search(index, query, k)) == exact(full_sort_topk(index, query, k))
+        query[3] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            search(small_index, query, 3)
+
+    def test_query_whose_square_overflows_rejected(self, small_index):
+        # Every entry is finite, but |q|^2 = 256e400 is not.
+        with pytest.raises(ValueError, match="not finite"):
+            search(small_index, np.full(small_index.dim, 1e200), 3)
 
     @settings(max_examples=80, deadline=None)
     @given(groups=st.one_of(st.integers(0, 11), st.integers(12, 750)), tail=st.integers(0, 3),
-           distinct=st.integers(1, 400),
-           foreign=st.integers(0, 3), nan_row=st.booleans(),
+           distinct=st.integers(1, 400), foreign=st.integers(0, 3),
            seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_hypothesis_equals_a_full_sort(self, groups, tail, distinct, foreign, nan_row,
-                                           seed, data):
+    def test_hypothesis_equals_a_full_sort(self, groups, tail, distinct, foreign, seed, data):
         """Few distinct texts over many docs make every score a large tie
         group, so the k-th boundary usually cuts through one; many make
         small groups, so a large index takes the screened path. Foreign
-        rows (signed unit vectors, a NaN row) are not count vectors, and
-        the query may be a count vector, a signed vector or hold a NaN.
+        rows (signed unit vectors) are not count vectors, and the query
+        may be a count vector or a signed vector.
         The index has 4 * groups + tail rows, so the BLAS tail kernel's
         rows are covered for every tail length. About half the examples
         have 1 to 47 rows; an index of fewer than 8 is one gemv call."""
@@ -539,13 +564,11 @@ class TestSearch:
         docs = {doc_id: Document(doc_id, rng.choice(texts)) for doc_id in ids}
         matrix = np.stack([embed(docs[doc_id].text, dim) for doc_id in ids])
         nprng = np.random.default_rng(seed)
-        for row in rng.sample(range(n), min(foreign + nan_row, n)):
+        for row in rng.sample(range(n), min(foreign, n)):
             vec = nprng.standard_normal(dim)
             matrix[row] = vec / np.linalg.norm(vec)
-        if nan_row:
-            matrix[row] = np.nan
         index = VectorIndex(ids, matrix, docs)
-        kind = data.draw(st.sampled_from(["text", "words", "signed", "nan"]))
+        kind = data.draw(st.sampled_from(["text", "words", "signed"]))
         if kind == "text":
             query = embed(data.draw(st.sampled_from(texts)), dim)
         elif kind == "words":
@@ -553,8 +576,6 @@ class TestSearch:
         else:
             query = nprng.standard_normal(dim)
             query[nprng.random(dim) < data.draw(st.sampled_from([0.5, 0.85]))] = 0.0
-            if kind == "nan":
-                query[nprng.integers(dim)] = np.nan
         k = data.draw(st.integers(1, n + 1))
         got = search(index, query, k)
         assert exact(got) == exact(full_sort_topk(index, query, k))
@@ -600,13 +621,11 @@ class TestSearch:
                 assert exact(got) == exact(full_sort_topk(index, query, k))
                 assert got[0][0].startswith("top-")
 
-    def test_foreign_and_nan_rows_loaded_from_a_cache(self, tmp_path):
-        """Rows that are not count vectors: a count 300 times the smallest,
-        a smallest count that does not divide another, a signed vector, a
-        row that rounds to counts (1, 2, 2) of the right norm without being
-        near them, and a NaN row, each in a cache read back by load_index.
-        A NaN row, like a NaN query, makes a search score every row;
-        without either the rest are screened."""
+    def test_foreign_rows_loaded_from_a_cache(self, tmp_path):
+        """Rows that are not count vectors, in a cache read back by
+        load_index and screened like any other: a count 300 times the
+        smallest, a smallest count that does not divide another, a signed
+        vector, and a row near counts (1, 2, 2) of the right norm."""
         rng = random.Random(5)
         vocab = [f"term{i}" for i in range(40)]
         docs = [Document(f"doc{i:04d}", " ".join(rng.choices(vocab, k=rng.randint(1, 12))))
@@ -619,23 +638,43 @@ class TestSearch:
         cols = [int(np.flatnonzero(embed(word, 32))[0]) for word in ("term3", "term4", "term5")]
         matrix[10] = 0.0
         matrix[10, cols] = np.array([1.0, 2.2, math.sqrt(3.16)]) / 3
-        by_id = {d.doc_id: d for d in docs}
+        path = tmp_path / "foreign.tvix"
+        save_index(VectorIndex([d.doc_id for d in docs], matrix,
+                               {d.doc_id: d for d in docs}), path)
+        index = load_index(path)
+        assert index._screen is not None
         queries = [embed(" ".join(rng.choices(vocab, k=5)), 32) for _ in range(30)]
-        nan_query = embed("term1 term2", 32)
-        nan_query[3] = np.nan
         queries += [embed("term1", 32), embed("term1 term2 term2", 32), embed("term4", 32),
-                    np.where(np.arange(32) % 5 == 0, signed, 0.0), nan_query]
-        for nan_row in (False, True):
-            if nan_row:
-                matrix[11] = np.nan
-            path = tmp_path / f"nan-{nan_row}.tvix"
-            save_index(VectorIndex([d.doc_id for d in docs], matrix, by_id), path)
-            index = load_index(path)
-            assert set(range(7, 11 + nan_row)) <= set(index._screen.loose.tolist())
-            for query in queries:
-                for k in (1, 3, 10):
-                    assert exact(search(index, query, k)) == exact(
-                        full_sort_topk(index, query, k))
+                    np.where(np.arange(32) % 5 == 0, signed, 0.0)]
+        for query in queries:
+            for k in (1, 3, 10):
+                assert exact(search(index, query, k)) == exact(full_sort_topk(index, query, k))
+
+    def test_screen_error_within_the_margin_is_rescored(self):
+        """Row "a" scores 81.75 / 254 in the matmul and "b" 81.25 / 254,
+        but every query entry of "a" sits 1/16 below a half-grid point and
+        rounds down, and every one of "b" sits 1/16 above one and rounds
+        up: the screen gives "b" 41.5 and "a" 40. That gap, 1.5 / 127 in
+        matmul units, is under the margin of 2 |q|_1 / 254 = 2 / 127 and
+        over half of it, so "a" must stay a candidate and win on rescoring.
+        The two sit in different 4-row groups, as candidates are groups."""
+        dim, q_cols, fill = 32, [3, 9, 14, 27], 30
+        query = np.zeros(dim)
+        query[q_cols] = 0.5  # |q|_1 = 2, |q| = 1
+        ids = [f"filler-{i:04d}" for i in range(_SCREEN_MIN_ROWS + 2)]
+        rows = np.zeros((len(ids), dim))
+        rows[:, fill + 1] = 1.0  # fillers score 0 in both
+        for row, doc_id, points, offset in ((1, "a", [20, 20, 20, 20], -1 / 16),
+                                             (6, "b", [19, 20, 20, 20], 1 / 16)):
+            ids[row] = doc_id
+            rows[row] = 0.0
+            rows[row, q_cols] = (np.array(points) + 0.5 + offset) / 127
+            rows[row, fill] = math.sqrt(1.0 - rows[row] @ rows[row])
+        index = VectorIndex(ids, rows, {d: Document(d, d) for d in ids})
+        for k in (1, 2, 3):
+            assert exact(search(index, query, k)) == exact(full_sort_topk(index, query, k))
+        assert [d for d, _ in search(index, query, 2)] == ["a", "b"]
+        assert (query @ index._screen[:, 1], query @ index._screen[:, 6]) == (40.0, 41.5)
 
     def test_one_blas_thread_so_each_row_group_scores_as_in_the_full_matmul(self):
         """The rescoring contract: one 4-row group (the partial last group
@@ -658,8 +697,7 @@ class TestSearch:
         """In a child process with two OpenBLAS threads, where a large
         matmul splits into row ranges that round differently, search
         returns the one-thread full sort's scores and order, on indexes
-        scored whole and screened, with count, signed, dense and NaN
-        queries."""
+        scored whole and screened, with count, signed and dense queries."""
         root = Path(__file__).resolve().parents[1]
         path = os.pathsep.join(filter(None, [str(root), str(root / "src"),
                                              os.environ.get("PYTHONPATH")]))
