@@ -43,9 +43,9 @@ class PipelineConfig:
         response_sentences: Sentences per simulated reply.
         rng_seed: Master seed for jitter and dataset derivation.
         time_scale: Real seconds slept per simulated second. 1.0 runs in
-            real time; 0.05 runs twenty times faster. Reported elapsed
-            values are always divided back, so metrics are comparable
-            across scales.
+            real time; 0.05 runs twenty times faster. Reported values
+            are modeled seconds at every scale, so metrics are
+            comparable across scales.
         jitter_frac: Half-width of the multiplicative uniform jitter
             applied to every simulated delay; 0 disables jitter and makes
             all delays pure functions of config and input.

@@ -44,6 +44,7 @@ import math
 import queue
 import random
 import threading
+import time
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -73,10 +74,10 @@ _JOIN_GRACE_S = 60.0
 class UtteranceResult:
     """Everything observable about one utterance run.
 
-    ``warmup_completed_at_s`` and ``llm_epoch_at_s`` are seconds from run
-    (ASR) start; warmup always completes before the epoch. ``eos_sent``
-    and ``consumer_saw_eos`` count end-of-stream frames enqueued and
-    consumed (both exactly 1 on a clean run).
+    ``warmup_completed_at_s`` and ``llm_epoch_at_s`` are modeled seconds
+    from run (ASR) start; warmup always completes before the epoch.
+    ``eos_sent`` and ``consumer_saw_eos`` count end-of-stream frames
+    enqueued and consumed (both exactly 1 on a clean run).
     """
 
     timings: StageTimings
@@ -103,12 +104,7 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
         raise ValueError(f"invalid utterance {utterance.id!r}: " + "; ".join(problems))
 
     clock = stages.clock
-    scale = clock.time_scale
     run_start = clock.now()
-
-    def run_elapsed() -> float:
-        return (clock.now() - run_start) / scale
-
     failures: list[tuple[str, str]] = []
     sentences: list[Sentence] = []
     segments: list[AudioSegment] = []
@@ -126,17 +122,15 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
         failures.append(("asr", str(exc)))
 
     # 2. Retrieval: real embed/search/prompt work plus modeled backend
-    # latency. The real work counts once, in real (unscaled) seconds: in
-    # rag_s, and in every later instant through the shifted run_start.
+    # latency. The clock counts the real work once, at 1x: in rag_s and
+    # in every later instant. No other worker is waiting on it yet.
     if not failures:
         try:
             rag_begin = clock.now()
             query_vec = embed(transcript.text, index.dim)
             hits = search(index, query_vec, config.retrieval_k)
             text = build_prompt(transcript.text, hits, index)
-            compute_s = clock.now() - rag_begin
-            run_start += compute_s * (1.0 - scale)
-            rag_s = compute_s + clock.pause(
+            rag_s = clock.unscale_since(rag_begin) + clock.pause(
                 config.rag_latency_s * clock.jitter(config.jitter_frac))
             retrieved, prompt = hits, text  # reported only once retrieval finished
         except Exception as exc:
@@ -152,16 +146,13 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
         failed.set()
 
     def left() -> float:
-        return max(0.0, deadline - clock.now())
-
-    def llm_elapsed() -> float:
-        return (clock.now() - epoch) / scale
+        return max(0.0, deadline - time.perf_counter())
 
     def consume() -> None:
         nonlocal warmup_completed_at_s, consumer_saw_eos
         try:
             stages.tts.warmup()
-            warmup_completed_at_s = run_elapsed()
+            warmup_completed_at_s = clock.now() - run_start
         except Exception as exc:
             fail("tts", str(exc))
         finally:
@@ -179,7 +170,7 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
                     return
                 if not failed.is_set():  # after a failure, only drain
                     segment = stages.tts.synthesize(frame_to_sentence(frame))
-                    segments.append(replace(segment, completed_at_s=llm_elapsed()))
+                    segments.append(replace(segment, completed_at_s=clock.now() - epoch))
             except Exception as exc:
                 fail("tts", str(exc))
 
@@ -192,10 +183,9 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
 
     def sink(event: TokenEvent) -> None:
         nonlocal token_count, ttft_s
-        now = clock.now()
-        if failed.is_set() or now > deadline:
+        if failed.is_set() or time.perf_counter() > deadline:
             raise GenerationAbortedError("token after a failure or the deadline")
-        at_s = (now - epoch) / scale
+        at_s = clock.now() - epoch
         token_count += 1
         if event.text and math.isnan(ttft_s):
             ttft_s = at_s
@@ -206,7 +196,7 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
         # 3-4. Consumer first, as warmup precedes the epoch; reply made
         # meanwhile, then generation on this thread.
         consumer = threading.Thread(target=consume, name=f"tts-{utterance.id}", daemon=True)
-        deadline = clock.now() + _JOIN_GRACE_S
+        deadline = time.perf_counter() + _JOIN_GRACE_S
         consumer.start()
         try:
             reply = make_response(prompt, retrieved, index, config.response_sentences)
@@ -216,9 +206,9 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
             response = reply
             try:
                 epoch = clock.now()
-                llm_epoch_at_s = (epoch - run_start) / scale
+                llm_epoch_at_s = epoch - run_start
                 stages.llm.generate(prompt, response, sink)
-                llm_s = llm_elapsed()
+                llm_s = clock.now() - epoch
                 tail = segmenter.flush(llm_s)
                 if tail is not None:
                     ship(tail)
@@ -229,7 +219,7 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
         # finishes. A channel still full at the deadline means a stuck
         # consumer, which the join reports. Before the epoch the frame
         # carries time 0.0.
-        end_at = 0.0 if math.isnan(epoch) else llm_elapsed()
+        end_at = 0.0 if math.isnan(epoch) else clock.now() - epoch
         with suppress(queue.Full):
             frames.put(encode_end(len(sentences), end_at), timeout=left())
             eos_sent += 1
@@ -241,7 +231,7 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
     # 6. One result for every path. A failed run reports the phases it
     # finished (ASR, retrieval), the time to the failure and the sentences
     # emitted; every other column is NaN.
-    total_s = run_elapsed()
+    total_s = clock.now() - run_start
     tts_s = ttfa_s = asr_wps = tok_rate = asr_rtf = cosine = math.nan
     if failures:
         llm_s = ttft_s = math.nan

@@ -1,12 +1,12 @@
 """Simulated pipeline stages and the clock they share.
 
 Each simulator blocks for a modeled duration instead of doing real work,
-which makes end-to-end orchestration measurable at any speed: every delay
-is multiplied by ``config.time_scale`` before sleeping and every reported
-elapsed value is divided back, so the numbers are comparable across
-scales. With ``jitter_frac = 0`` every modeled delay is a pure function of
-config and input; with jitter enabled each delay is scaled by a uniform
-factor in [1 - jitter_frac, 1 + jitter_frac] drawn from the clock's RNG.
+which makes end-to-end orchestration measurable at any speed. Delays,
+instants and elapsed values are modeled seconds at every scale; only
+``StageClock`` converts them to real ones. With ``jitter_frac = 0``
+every modeled delay is a pure function of config and input; with jitter
+enabled each delay is scaled by a uniform factor in
+[1 - jitter_frac, 1 + jitter_frac] drawn from the clock's RNG.
 
 The Protocol classes at the bottom are the extension point for real
 model adapters. They share the simulator signatures; no real adapter is
@@ -63,16 +63,19 @@ class TokenEvent:
 
 
 class StageClock:
-    """Scaled monotonic time source shared by the stages of one run."""
+    """Modeled-time source shared by the stages of one run: the only code
+    that converts, at ``time_scale`` real seconds per modeled second."""
 
     def __init__(self, time_scale: float = 1.0, rng: random.Random | None = None) -> None:
-        if time_scale <= 0.0:
-            raise ValueError(f"time_scale must be > 0, got {time_scale}")
+        if not (time_scale > 0.0 and math.isfinite(time_scale)):
+            raise ValueError(f"time_scale must be finite and > 0, got {time_scale}")
         self.time_scale = float(time_scale)
         self.rng = rng if rng is not None else random.Random()
+        self._origin = time.perf_counter()
 
     def now(self) -> float:
-        return time.perf_counter()
+        """Modeled seconds since the clock was made."""
+        return (time.perf_counter() - self._origin) / self.time_scale
 
     def jitter(self, jitter_frac: float) -> float:
         """Draw one multiplicative jitter factor (1.0 when jitter is off)."""
@@ -81,28 +84,37 @@ class StageClock:
         return self.rng.uniform(1.0 - jitter_frac, 1.0 + jitter_frac)
 
     def sleep_until(self, deadline: float) -> None:
-        """Sleep until ``deadline`` on the real clock, with a spin tail."""
+        """Sleep until the modeled instant ``deadline``, with a spin tail."""
+        end = self._origin + deadline * self.time_scale
         while True:
-            remaining = deadline - time.perf_counter()
+            remaining = end - time.perf_counter()
             if remaining <= 0.0:
                 return
             if remaining > _SPIN_S:
                 time.sleep(remaining - _SPIN_S)
             else:
-                while time.perf_counter() < deadline:
+                while time.perf_counter() < end:
                     time.sleep(0)
                 return
 
     def pause(self, seconds: float) -> float:
-        """Block for ``seconds`` of modeled time; return the measured
-        elapsed time, unscaled, which is what gets reported. The last
-        step yields, so the overshoot is ~1 us, not up to one step."""
-        start = time.perf_counter()
-        deadline = start + max(seconds, 0.0) * self.time_scale
-        self.sleep_until(deadline - _STEP_S)
-        while time.perf_counter() < deadline:
+        """Block for ``seconds`` of modeled time; return the modeled time
+        that passed, which is what gets reported. The last step yields,
+        so the overshoot is ~1 us, not up to one step."""
+        start = self.now()
+        deadline = start + max(seconds, 0.0)
+        self.sleep_until(deadline - _STEP_S / self.time_scale)
+        while self.now() < deadline:
             _yield()  # releases the GIL, unlike a bare busy loop
-        return (time.perf_counter() - start) / self.time_scale
+        return self.now() - start
+
+    def unscale_since(self, start: float) -> float:
+        """Return the real seconds since modeled instant ``start`` and move
+        the origin so ``now()`` counts them once, at 1x. Only safe while no
+        other worker of the run is waiting on the clock."""
+        real = (self.now() - start) * self.time_scale
+        self._origin += real * (1.0 - self.time_scale)
+        return real
 
 
 def stream_tokens(response: str) -> list[str]:
@@ -146,7 +158,7 @@ class SimulatedLlm:
         # Absolute deadlines, so per-token sleep overshoot cannot accumulate.
         due = cfg.llm_ttft_s * clock.jitter(cfg.jitter_frac)
         for token in tokens:
-            clock.sleep_until(start + due * clock.time_scale)
+            clock.sleep_until(start + due)
             try:
                 sink(TokenEvent(token))
             except Exception as exc:
@@ -155,7 +167,7 @@ class SimulatedLlm:
         # The trailing wait models the end-of-sequence step, so the call
         # lasts ttft plus one interval per token; an empty response still
         # pays the first-token wait before stopping.
-        clock.sleep_until(start + due * clock.time_scale)
+        clock.sleep_until(start + due)
 
 
 class SimulatedTts:

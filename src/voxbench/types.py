@@ -9,10 +9,10 @@ can aggregate several values before deciding to raise.
 
 Time conventions:
 
-* Stage durations (``asr_s``, ``rag_s``, ...) are elapsed seconds, already
-  divided by any simulation time scaling, so they are comparable across
-  runs at different scales.
-* Fields named ``*_at_s`` are seconds on a monotonic clock relative to the
+* Stage durations (``asr_s``, ``rag_s``, ...) are modeled seconds read
+  from ``StageClock``, the only code that converts them to real seconds,
+  so they are comparable across runs at different scales.
+* Fields named ``*_at_s`` are modeled seconds relative to the
   response-generation epoch of the current utterance (marked after the
   synthesizer's warmup, just before generation starts), except where
   noted.

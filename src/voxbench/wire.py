@@ -39,7 +39,6 @@ _HEADER = struct.Struct("<4sHBIQI")
 HEADER_SIZE = _HEADER.size  # 23
 
 _U32_MAX = 2**32 - 1
-_U64_MAX = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -66,12 +65,12 @@ class SentenceFrame:
 def _pack(kind: int, index: int, emitted_at_s: float, payload: bytes) -> bytes:
     if not 0 <= index <= _U32_MAX:
         raise FrameTooLargeError(f"sentence index {index} does not fit in u32")
-    emitted_us = round(emitted_at_s * 1e6)
-    if not 0 <= emitted_us <= _U64_MAX:
+    emitted_us = emitted_at_s * 1e6
+    if not -0.5 <= emitted_us < 2.0**64:  # floats that round into u64; NaN fails too
         raise FrameTooLargeError(f"timestamp {emitted_at_s} does not fit in u64 microseconds")
     if len(payload) > _U32_MAX:
         raise FrameTooLargeError(f"payload of {len(payload)} bytes does not fit in u32")
-    return _HEADER.pack(MAGIC, VERSION, kind, index, emitted_us, len(payload)) + payload
+    return _HEADER.pack(MAGIC, VERSION, kind, index, round(emitted_us), len(payload)) + payload
 
 
 def encode_frame(sentence: Sentence) -> bytes:

@@ -1,6 +1,8 @@
 """Clock behavior, the three simulators and response fabrication."""
 
+import math
 import random
+import time
 
 import pytest
 
@@ -69,8 +71,35 @@ class TestStageClock:
         assert [a.jitter(0.1) for _ in range(20)] == [b.jitter(0.1) for _ in range(20)]
 
     def test_rejects_nonpositive_scale(self):
-        with pytest.raises(ValueError):
-            StageClock(time_scale=0.0)
+        for scale in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                StageClock(time_scale=scale)
+
+    def test_sleep_until_reaches_the_modeled_instant(self):
+        clock = StageClock(time_scale=0.01)
+        for step in (0.0, 0.05, 1.0, 3.0):
+            target = clock.now() + step
+            clock.sleep_until(target)
+            assert clock.now() >= target
+
+    def test_now_advances_by_at_least_the_pause(self):
+        clock = StageClock(time_scale=0.01)
+        for seconds in (0.0, 0.5, 2.0):
+            before = clock.now()
+            clock.pause(seconds)
+            assert clock.now() - before >= seconds
+
+    def test_unscale_since_counts_a_real_span_once(self):
+        # 20 ms of real work at scale 0.01 would read 2 modeled seconds;
+        # after unscale_since it counts as 0.02. Stalls beyond the busy
+        # wait still count at 1/scale, hence the generous ceiling.
+        clock = StageClock(time_scale=0.01)
+        start = clock.now()
+        end = time.perf_counter() + 0.02
+        while time.perf_counter() < end:
+            pass
+        assert clock.unscale_since(start) >= 0.02
+        assert clock.now() - start < 0.5
 
 
 class TestStreamTokens:

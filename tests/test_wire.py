@@ -1,5 +1,6 @@
 """Frame encoding against hand-written byte vectors, plus round trips."""
 
+import math
 import random
 
 import pytest
@@ -222,5 +223,6 @@ class TestErrorTaxonomy:
             encode_end(2**32, 0.0)
 
     def test_negative_timestamp_refuses_to_encode(self):
-        with pytest.raises(FrameTooLargeError):
-            encode_frame(Sentence(0, "x", -0.5))
+        for at_s in (-0.5, math.nan, math.inf):
+            with pytest.raises(FrameTooLargeError):
+                encode_frame(Sentence(0, "x", at_s))
