@@ -29,11 +29,22 @@ from .retrieval import VectorIndex
 from .segmenter import CLOSERS, TERMINATORS
 from .types import AudioSegment, Sentence, Transcript, UtteranceRecord, word_count
 
-# Tail of every sleep handled by sleep(0) steps so a sleep's overshoot
-# stays in the tens of microseconds even at small time scales, where the
-# OS timer's ~0.1 ms slack would otherwise dominate the modeled delay.
-_SPIN_S = 0.0008
-# One sleep(0) step, which pays Linux's default 50 us timer slack.
+# A timer sleep wakes late by Linux's default 50 us timer slack plus
+# scheduling. Measured on a 2-core VM, delay past the requested time (us):
+#
+#   sleep length   p50     p90       p99
+#   65 us          56      58-60     -
+#   200 us         60-66   -         -
+#   2.4 ms         -       100-120   -
+#   10 ms          -       -         <= 212
+#
+# So sleep_until makes at most two timer sleeps: one to _NEAR_S before the
+# deadline, which covers a long sleep's p99, then one to _SLACK_S before
+# it, which a short sleep's ~56-66 us delay carries just past the deadline.
+_NEAR_S = 0.00025
+_SLACK_S = 0.000045
+# pause sleeps to one sleep(0) step, ~the timer slack, before its deadline
+# and yields the rest, which keeps its overshoot near 1 us.
 _STEP_S = 0.00006
 _yield = getattr(os, "sched_yield", lambda: time.sleep(0))  # none on Windows
 
@@ -84,18 +95,17 @@ class StageClock:
         return self.rng.uniform(1.0 - jitter_frac, 1.0 + jitter_frac)
 
     def sleep_until(self, deadline: float) -> None:
-        """Sleep until the modeled instant ``deadline``, with a spin tail."""
+        """Sleep until the modeled instant ``deadline``: at most two timer
+        sleeps, then ``sleep(0)`` steps only if the last one woke early."""
+        if not math.isfinite(deadline):
+            raise ValueError(f"deadline must be finite, got {deadline}")
         end = self._origin + deadline * self.time_scale
-        while True:
+        for guard in (_NEAR_S, _SLACK_S):
             remaining = end - time.perf_counter()
-            if remaining <= 0.0:
-                return
-            if remaining > _SPIN_S:
-                time.sleep(remaining - _SPIN_S)
-            else:
-                while time.perf_counter() < end:
-                    time.sleep(0)
-                return
+            if remaining > guard:
+                time.sleep(remaining - guard)
+        while time.perf_counter() < end:
+            time.sleep(0)
 
     def pause(self, seconds: float) -> float:
         """Block for ``seconds`` of modeled time; return the modeled time

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from voxbench import stages
 from voxbench.config import PipelineConfig
 from voxbench.errors import GenerationAbortedError
 from voxbench.retrieval import Document, VectorIndex
@@ -26,8 +27,9 @@ from voxbench.types import Sentence, UtteranceRecord, word_count
 
 from .support import oracle_sentences
 
-# Unscaled tolerance for one sleep: the spin tail keeps real overshoot in
-# the tens of microseconds, so a couple of milliseconds is generous.
+# Unscaled tolerance for one sleep: its short last timer sleep keeps real
+# overshoot in the tens of microseconds, so a couple of milliseconds is
+# generous.
 _ABS = 0.004
 
 
@@ -77,10 +79,43 @@ class TestStageClock:
 
     def test_sleep_until_reaches_the_modeled_instant(self):
         clock = StageClock(time_scale=0.01)
-        for step in (0.0, 0.05, 1.0, 3.0):
+        for step in (0.0, 0.003, 0.01, 0.05, 1.0, 3.0):
             target = clock.now() + step
             clock.sleep_until(target)
             assert clock.now() >= target
+
+    def test_rejects_non_finite_waits(self):
+        clock = StageClock(time_scale=1.0)
+        for wait in (clock.sleep_until, clock.pause):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    wait(value)
+
+    def test_waits_end_on_time_in_few_sleeps_whatever_the_wake_up_delay(self, monkeypatch):
+        # Scheduler-free: the fake clock moves only when the code reads it
+        # or sleeps, so every wake-up delay is scripted, not drawn.
+        waits = (0.0, 10e-6, 30e-6, 100e-6, 125e-6, 240e-6, 300e-6,
+                 625e-6, 2.45e-3, 10e-3)
+        delays = (0.0, 5e-6, 20e-6, 40e-6, 50e-6, 56e-6, 66e-6, 120e-6, 212e-6, 250e-6)
+        for delay in delays:
+            fake = FakeTime(delay)
+            monkeypatch.setattr(stages, "time", fake)
+            clock = StageClock(time_scale=0.05)
+            for wait in waits:
+                target = clock.now() + wait / 0.05
+                fake.sleeps.clear()
+                clock.sleep_until(target)
+                assert clock.now() >= target, (wait, delay)
+                timer = [s for s in fake.sleeps if s > 0.0]
+                polls = len(fake.sleeps) - len(timer)
+                assert len(timer) <= 2, (wait, delay, fake.sleeps)
+                # At most one poll, and none where the last timer sleep
+                # lands past the deadline: a wait over _SLACK_S whose
+                # wake-up delay is from _SLACK_S to _NEAR_S - _SLACK_S.
+                on_time = (wait > stages._SLACK_S
+                           and stages._SLACK_S <= delay < stages._NEAR_S - stages._SLACK_S)
+                assert polls <= (0 if on_time else 1), (wait, delay, fake.sleeps)
+                assert clock.pause(wait / 0.05) >= wait / 0.05, (wait, delay)
 
     def test_now_advances_by_at_least_the_pause(self):
         clock = StageClock(time_scale=0.01)
@@ -100,6 +135,25 @@ class TestStageClock:
             pass
         assert clock.unscale_since(start) >= 0.02
         assert clock.now() - start < 0.5
+
+
+class FakeTime:
+    """Stand-in for the ``time`` module: ``perf_counter`` advances 1 us a
+    call, ``sleep(x)`` advances ``x`` plus a scripted wake-up delay, and
+    ``sleep(0)`` one step of the timer slack."""
+
+    def __init__(self, delay):
+        self.delay = delay
+        self.now = 0.0
+        self.sleeps = []
+
+    def perf_counter(self):
+        self.now += 1e-6
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds + self.delay if seconds > 0.0 else stages._STEP_S
 
 
 class TestStreamTokens:
