@@ -1,41 +1,51 @@
 """End-to-end pipeline orchestration for one utterance or a dataset.
 
-``run_utterance`` is one straight-line coordinator. Each phase runs only
-if no earlier one failed, the run's state lives in its locals, and one
-result is built at the end on every path. Schedule for one utterance:
+``run_utterance`` and ``run_dataset`` both run each utterance through one
+straight-line coordinator. Each phase runs only if no earlier one failed,
+the run's state lives in its locals, and one result is built at the end on
+every path. Schedule for one utterance:
 
 1. Transcribe the full utterance up front (serial).
 2. Embed the transcript, search the index, assemble the prompt. The
    retrieval backend's modeled latency is paid here too.
-3. Start the synthesis consumer, the run's one worker thread. It warms
-   the synthesizer, then reads the bounded sentence channel (a plain
-   ``queue.Queue``); each frame is decoded and synthesized, and the
-   end-of-stream frame finishes it.
+3. Hand the synthesis job to the synthesis worker, the run's one worker
+   thread. It warms the synthesizer, then reads the bounded sentence
+   channel (a plain ``queue.Queue``); each frame is decoded and
+   synthesized, and the end-of-stream frame finishes it.
 4. Fabricate the reply during warmup (harness work, kept off the timed
    path). Then mark the generation epoch and at once generate on the
    calling thread: stream the reply through the sentence segmenter,
    encode and enqueue each completed sentence, then flush. Stages return
    content only; every instant of the run is stamped here from the epoch.
-5. Enqueue exactly one end-of-stream frame and join the consumer.
+5. Enqueue exactly one end-of-stream frame and wait for the job's done
+   signal.
 6. Assemble the result. A failed run keeps the ASR and retrieval times
    it reached, the time to the failure and its sentence count; every
    other timing column is NaN.
 
-The consumer starts before generation, so the first sentence is
+The job is handed over before generation, so the first sentence is
 synthesized the moment it is emitted and synthesis of sentence i overlaps
 generation of sentences i+1 and later.
 
+One synthesis worker serves every utterance of a ``run_dataset`` call
+(``run_utterance`` starts its own), so no thread start sits between the
+end of retrieval and warmup. The worker is a daemon thread that takes one
+job at a time from its queue and exits when the call returns. It is
+replaced only when its thread has died or when a job is still running at
+its deadline: that stuck thread is left behind, and the next utterance
+gets a fresh one.
+
 One real-time deadline, ``_JOIN_GRACE_S`` after retrieval ends, bounds
 every wait: the warmup, each ``put`` and ``get`` on the channel, and the
-consumer join. No wait wakes up early to check a flag, because two rules
-hold on every path that starts the consumer. The stream always ends: the
-coordinator enqueues the end-of-stream frame after a failure too. The
-consumer always reads to that frame: once either side has failed it stops
-synthesizing but keeps draining, so a producer blocked on a full channel
-is freed at once. The side that fails first sets a shared flag, which the
-producer checks, with the deadline, at every token. A run with any
-failure is marked failed. A ``generate`` call that never returns is not
-bounded.
+wait for the job's done signal. No wait wakes up early to check a flag,
+because two rules hold on every path that hands over a job. The stream
+always ends: the coordinator enqueues the end-of-stream frame after a
+failure too. The job always reads to that frame: once either side has
+failed it stops synthesizing but keeps draining, so a producer blocked on
+a full channel is freed at once. The side that fails first sets a shared
+flag, which the producer checks, with the deadline, at every token. A run
+with any failure is marked failed. A ``generate`` call that never returns
+is not bounded.
 """
 
 from __future__ import annotations
@@ -94,14 +104,64 @@ class UtteranceResult:
     consumer_saw_eos: int
 
 
+class _SynthesisWorker:
+    """The daemon thread that runs each utterance's synthesis job in turn.
+
+    A thread starts at the first hand-off, and again only after the last
+    one died or was abandoned on a job still running at its deadline.
+    """
+
+    def __init__(self) -> None:
+        self._jobs: queue.SimpleQueue[Callable[[], None] | None] = queue.SimpleQueue()
+        self._thread: threading.Thread | None = None
+
+    def submit(self, job: Callable[[], None], name: str) -> None:
+        if self._thread is None or not self._thread.is_alive():
+            self._thread = threading.Thread(target=_serve, args=(self._jobs,),
+                                            name=name, daemon=True)
+            self._thread.start()
+        self._jobs.put(job)
+
+    def abandon(self) -> None:
+        """Leave the thread to exit once its stuck job returns."""
+        self._jobs.put(None)
+        self._jobs = queue.SimpleQueue()
+        self._thread = None
+
+    def stop(self) -> None:
+        """Let the thread exit once it has no job left."""
+        self._jobs.put(None)
+
+
+def _serve(jobs: queue.SimpleQueue[Callable[[], None] | None]) -> None:
+    while (job := jobs.get()) is not None:
+        job()
+
+
 def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
                   index: VectorIndex, stages: StageSet) -> UtteranceResult:
     """Run the full pipeline for one utterance; never raises for stage
     failures, which instead mark the result as failed."""
+    worker = _SynthesisWorker()
+    try:
+        return _run(utterance, config, index, stages, worker)
+    finally:
+        worker.stop()
+
+
+def _run(utterance: UtteranceRecord, config: PipelineConfig, index: VectorIndex,
+         stages: StageSet, worker: _SynthesisWorker) -> UtteranceResult:
+    """The coordinator of one utterance; its synthesis job goes to ``worker``."""
     config.ensure_valid()
     problems = utterance_violations(utterance)
     if problems:
         raise ValueError(f"invalid utterance {utterance.id!r}: " + "; ".join(problems))
+
+    frames: queue.Queue[bytes] = queue.Queue(maxsize=config.queue_capacity)
+    failed = threading.Event()
+    warmup_done = threading.Event()
+    done = threading.Event()
+    segmenter = SentenceSegmenter()
 
     clock = stages.clock
     run_start = clock.now()
@@ -136,11 +196,6 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
         except Exception as exc:
             failures.append(("rag", str(exc)))
 
-    frames: queue.Queue[bytes] = queue.Queue(maxsize=config.queue_capacity)
-    failed = threading.Event()
-    warmup_done = threading.Event()
-    segmenter = SentenceSegmenter()
-
     def fail(stage: str, message: str) -> None:
         failures.append((stage, message))
         failed.set()
@@ -174,6 +229,15 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
             except Exception as exc:
                 fail("tts", str(exc))
 
+    def job() -> None:
+        try:
+            consume()
+        except BaseException:
+            fail("tts", "synthesis worker died")
+            raise
+        finally:
+            done.set()
+
     def ship(sentence: Sentence) -> None:
         sentences.append(sentence)
         try:
@@ -193,11 +257,10 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
             ship(sentence)
 
     if not failures:
-        # 3-4. Consumer first, as warmup precedes the epoch; reply made
-        # meanwhile, then generation on this thread.
-        consumer = threading.Thread(target=consume, name=f"tts-{utterance.id}", daemon=True)
+        # 3-4. Synthesis job first, as warmup precedes the epoch; reply
+        # made meanwhile, then generation on this thread.
         deadline = time.perf_counter() + _JOIN_GRACE_S
-        consumer.start()
+        worker.submit(job, f"tts-{utterance.id}")
         try:
             reply = make_response(prompt, retrieved, index, config.response_sentences)
         except Exception as exc:
@@ -215,16 +278,16 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
             except Exception as exc:
                 fail("llm", str(exc))
 
-        # 5. End the stream on every path, so a live consumer always
-        # finishes. A channel still full at the deadline means a stuck
-        # consumer, which the join reports. Before the epoch the frame
-        # carries time 0.0.
+        # 5. End the stream on every path, so a live job always finishes.
+        # A channel still full at the deadline means a stuck job, which
+        # the wait reports; its thread is left behind. Before the epoch
+        # the frame carries time 0.0.
         end_at = 0.0 if math.isnan(epoch) else clock.now() - epoch
         with suppress(queue.Full):
             frames.put(encode_end(len(sentences), end_at), timeout=left())
             eos_sent += 1
-        consumer.join(timeout=left())
-        if consumer.is_alive():
+        if not done.wait(timeout=left()):
+            worker.abandon()
             stuck = "consumer" if warmup_done.is_set() else "warmup"
             fail("tts", f"{stuck} did not finish in time")
 
@@ -268,7 +331,8 @@ def run_dataset(records: Sequence[UtteranceRecord], config: PipelineConfig,
                 index: VectorIndex,
                 stage_factory: StageFactory = build_simulated_stages,
                 ) -> tuple[list[UtteranceResult], metrics.RunSummary | None]:
-    """Run every record sequentially with fresh stages per utterance.
+    """Run every record sequentially with fresh stages per utterance and
+    one synthesis worker for all of them.
 
     Per-utterance stage seeds derive deterministically from the config
     seed, so the same inputs reproduce the same jitter sequence. Failed
@@ -280,10 +344,14 @@ def run_dataset(records: Sequence[UtteranceRecord], config: PipelineConfig,
     config.ensure_valid()
     master = random.Random(config.rng_seed)
     results: list[UtteranceResult] = []
-    for record in records:
-        seed = master.getrandbits(62)
-        stages = stage_factory(config, seed)
-        results.append(run_utterance(record, config, index, stages))
+    worker = _SynthesisWorker()
+    try:
+        for record in records:
+            seed = master.getrandbits(62)
+            stages = stage_factory(config, seed)
+            results.append(_run(record, config, index, stages, worker))
+    finally:
+        worker.stop()
     ok = [r.timings for r in results if not r.failed]
     summary = metrics.summarize(ok) if ok else None
     return results, summary

@@ -622,3 +622,111 @@ class TestRunDataset:
         assert [r.response for r in first] == [r.response for r in second]
         assert ([tuple(s.text for s in r.sentences) for r in first]
                 == [tuple(s.text for s in r.sentences) for r in second])
+
+
+class _RecordingTts:
+    """Passes every call to ``inner`` and records the thread each warmup
+    runs on."""
+
+    def __init__(self, inner, threads):
+        self.inner = inner
+        self.threads = threads
+
+    def warmup(self):
+        self.threads.append(threading.current_thread())
+        self.inner.warmup()
+
+    def synthesize(self, sentence):
+        return self.inner.synthesize(sentence)
+
+
+class _DyingTts:
+    """Synthesizer whose warmup ends its thread, as a stage raising a
+    ``BaseException`` does."""
+
+    def warmup(self):
+        raise SystemExit
+
+    def synthesize(self, sentence):
+        raise AssertionError("never reached")
+
+
+class TestSynthesisWorker:
+    """One synthesis thread per ``run_dataset`` call, replaced only when a
+    job is stuck at its deadline or the thread has died. Threads are
+    compared as objects: an exited thread's ident can be reused."""
+
+    GRACE_S = 0.5
+
+    @pytest.fixture(autouse=True)
+    def short_grace(self, monkeypatch):
+        monkeypatch.setattr(orchestrator, "_JOIN_GRACE_S", self.GRACE_S)
+
+    def run(self, config, index, second=None, asr=None, before_third=None):
+        """Four utterances whose warmups record their threads; the second
+        one's synthesizer and recognizer can be swapped."""
+        threads, calls = [], []
+
+        def factory(config, seed):
+            stages = build_simulated_stages(config, seed=seed)
+            calls.append(seed)
+            n = len(calls)
+            if n == 3 and before_third is not None:
+                before_third(threads)
+            tts = second if n == 2 and second is not None else stages.tts
+            return StageSet(asr=asr if n == 2 and asr is not None else stages.asr,
+                            llm=stages.llm, tts=_RecordingTts(tts, threads),
+                            clock=stages.clock)
+
+        records = [utterance(i) for i in range(4)]
+        results, _ = run_dataset(records, config, index, stage_factory=factory)
+        return results, threads
+
+    def test_every_warmup_of_a_run_runs_on_one_thread(self, fast_config, fast_index):
+        results, threads = self.run(fast_config, fast_index)
+        assert [r.failed for r in results] == [False] * 4
+        assert len(threads) == 4
+        assert all(t is threads[0] for t in threads)
+        assert threads[0].name == "tts-utt-000" and threads[0].daemon
+        threads[0].join(timeout=5.0)
+        assert not threads[0].is_alive()
+
+    @pytest.mark.parametrize("way", ["asr", "tts"])
+    def test_a_failure_that_returns_keeps_the_thread(self, way, fast_config, fast_index):
+        if way == "asr":  # no job is handed over
+            results, threads = self.run(fast_config, fast_index, asr=_BrokenAsr())
+        else:  # the job records the failure and returns
+            results, threads = self.run(fast_config, fast_index, second=_BrokenTts())
+        assert [r.failed for r in results] == [False, True, False, False]
+        assert len(threads) == (3 if way == "asr" else 4)
+        assert all(t is threads[0] for t in threads)
+
+    def test_a_stuck_warmup_leaves_its_thread_and_the_next_gets_a_new_one(
+            self, fast_config, fast_index):
+        gate = threading.Event()
+        try:
+            results, threads = self.run(fast_config, fast_index,
+                                        second=_GatedTts(gate, "warmup"))
+            assert threads[1].is_alive()  # still stuck, left behind
+        finally:
+            gate.set()
+        assert [r.failed for r in results] == [False, True, False, False]
+        assert "tts: warmup did not finish in time" in results[1].error
+        assert threads[1] is threads[0]
+        assert threads[2] is not threads[0]
+        assert threads[3] is threads[2]
+
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_a_dead_thread_is_replaced_at_the_next_hand_off(self, fast_config,
+                                                            fast_index):
+        def wait_for_the_death(threads):
+            threads[1].join(timeout=5.0)
+            assert not threads[1].is_alive()
+
+        results, threads = self.run(fast_config, fast_index, second=_DyingTts(),
+                                    before_third=wait_for_the_death)
+        assert [r.failed for r in results] == [False, True, False, False]
+        assert "tts: synthesis worker died" in results[1].error
+        assert threads[1] is threads[0]
+        assert threads[2] is not threads[0]
+        assert threads[3] is threads[2]
