@@ -142,6 +142,7 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
                   index: VectorIndex, stages: StageSet) -> UtteranceResult:
     """Run the full pipeline for one utterance; never raises for stage
     failures, which instead mark the result as failed."""
+    config.ensure_valid()
     worker = _SynthesisWorker()
     try:
         return _run(utterance, config, index, stages, worker)
@@ -151,8 +152,8 @@ def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
 
 def _run(utterance: UtteranceRecord, config: PipelineConfig, index: VectorIndex,
          stages: StageSet, worker: _SynthesisWorker) -> UtteranceResult:
-    """The coordinator of one utterance; its synthesis job goes to ``worker``."""
-    config.ensure_valid()
+    """The coordinator of one utterance, for a valid ``config``; its
+    synthesis job goes to ``worker``."""
     problems = utterance_violations(utterance)
     if problems:
         raise ValueError(f"invalid utterance {utterance.id!r}: " + "; ".join(problems))

@@ -24,33 +24,33 @@ The scored rows are ranked by partitioning to find the k-th best,
 keeping every row scoring at least that much (so a tie group straddling
 the boundary survives whole) and sorting only those.
 
-An index of fewer than _SCREEN_MIN_ROWS rows scores every group. A
-larger index is searched in two stages, on a copy its first search
-builds (an index that is only built and saved never pays for it): the
-matrix on a fixed grid, ``c = rint(127 r)``, column-major as int8.
+An index of fewer than 8 rows is one gemv call of the whole matrix, so
+no group can be skipped and it is scored whole. An index of 8 rows or
+more is searched in two stages, on a copy its first search builds (an
+index that is only built and saved never pays for it): the matrix on a
+fixed grid, ``c = rint(127 r)``, column-major as int8.
 
 1. Screen: score every row as ``s = c . q`` in float64, reading only
-   the query's nonzero columns, at most d/4 of them (d = dim, u = 2**-53,
+   the query's nonzero columns, at most d of them (d = dim, u = 2**-53,
    |q|_1 = sum |q_j|). ``127 r_j`` rounds once, rint moves it at most
    1/2 and a unit row has |r_j| <= 1 + _NORM_TOL, so the grid puts s / 127
    within |q|_1 (1/254 + 1.01 u) of the real dot product; to first order
-   the screen's sum adds (d/4) u |q|_1 and the matmul's, in any order,
-   d u |q|_1. So s / 127 is within ``B = |q|_1 (1/254 + (2 d + 4) u)`` of
-   the matmul score p, and the slack of (3d/4 + 2) u |q|_1 covers the
-   second-order terms and the roundings of |q|_1, the margin and the cut
-   (below (d/127 + 2) u |q|_1). A row is a candidate when its s is within
-   ``254 B`` of the k-th best. Any other row x has s_x < s_y - 254 B for k
-   rows y, so p_x < s_x / 127 + B < s_y / 127 - B < p_y: k rows score
-   strictly higher in the matmul.
+   the screen's sum (|c_j| <= 127) adds d u |q|_1 and the matmul's, in
+   any order, d u |q|_1. So s / 127 is within
+   ``B = |q|_1 (1/254 + (3 d + 4) u)`` of the matmul score p, and the
+   slack of (d + 2) u |q|_1 covers the second-order terms and the
+   roundings of |q|_1, the margin and the cut (below (d/127 + 2) u
+   |q|_1). A row is a candidate when its s is within ``254 B`` of the
+   k-th best, or of the lowest when k is more than the number of rows.
+   Any other row x has s_x < s_y - 254 B for k rows y, so
+   p_x < s_x / 127 + B < s_y / 127 - B < p_y: k rows score strictly
+   higher in the matmul.
 2. Rescore: score the candidates' groups. The final ranking comes from
    these scores, never from the screen: a tie between two real numbers
    is often broken by an ulp of the matmul.
 
-Every group is scored instead when the query has more nonzero columns
-than a quarter of dim, |q|^2 is outside _Q_RANGE, k is more than the
-number of rows, or the candidates' groups number more than 1/16 of the
-rows. The cut-offs on columns and groups only choose the faster path;
-their measurements are at the code.
+Every group is scored instead when the index has fewer than 8 rows or
+|q|^2 is outside _Q_RANGE.
 
 Index cache file layout, little-endian, no padding:
 
@@ -102,12 +102,6 @@ _WRITE_BUFFER = 1 << 20
 _CHUNK_CELLS = 1 << 17
 # A corpus file is read in pieces of this size; most fit in one.
 _READ_SIZE = 1 << 16
-# An index with fewer rows has no grid copy and search scores every row.
-# Medians of 12-word queries at dim 256 after a 13 ms idle gap (one BLAS
-# thread, 2-core VM), screened against every group scored: 0.41 vs 0.38 ms
-# at 512 rows, 0.41 vs 0.53 at 1,024, 0.44 vs 0.80 at 2,048, 0.50 vs 1.33
-# at 4,096.
-_SCREEN_MIN_ROWS = 1024
 # _grid_copy rounds this many matrix cells per pass (128 rows at dim 256):
 # its one float64 buffer stays in a core's L2 cache.
 _SCREEN_CELLS = 1 << 15
@@ -201,9 +195,9 @@ def _rescore(matrix: np.ndarray, groups: np.ndarray | None,
     threads the process has.
     """
     n, dim = matrix.shape
-    if n < 8:  # the last call below would cover the whole matrix
-        return np.arange(n), matrix @ q
-    last = n // 4 - (n % 4 > 0)  # the last call runs from this group to the end
+    # The last call runs from this group to the end; below 8 rows the
+    # whole matrix is one call.
+    last = max(n // 4 - (n % 4 > 0), 0)
     if groups is None:
         groups = np.arange((n + 3) // 4)
     head = groups[groups < last]
@@ -252,8 +246,8 @@ class VectorIndex:
     def _screen(self) -> np.ndarray | None:
         """The grid copy that ``search`` screens on, built on the first
         search (an index that is only saved never builds it); None below
-        _SCREEN_MIN_ROWS rows, where every search scores every row."""
-        return _grid_copy(self._matrix) if len(self) >= _SCREEN_MIN_ROWS else None
+        8 rows, which one gemv call scores whole."""
+        return _grid_copy(self._matrix) if len(self) >= 8 else None
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -466,32 +460,21 @@ def _candidates(index: VectorIndex, q: np.ndarray, qq: float, k: int) -> np.ndar
     """The sorted 4-row groups that hold every row the screen (module
     docstring) cannot rule out of the top k for the finite query ``q``
     with ``qq = q @ q``; None, for every group, where the index has no
-    grid copy or the screen cannot bound ``q`` or does not pay."""
+    grid copy or |q|^2 is outside _Q_RANGE, so the margin cannot bound
+    the screen."""
     codes = index._screen
-    if codes is None:
+    if codes is None or not _Q_RANGE[0] <= qq <= _Q_RANGE[1]:
         return None
-    cols = np.flatnonzero(q)
     n = len(index)
-    cut = n - k  # the k-th best screen score
-    # Speed only. Each column screened costs two passes over n floats; at
-    # 20,000 x 256 (one BLAS thread, 2-core VM), with 64 query columns the
-    # screened search took 2.0-2.4 ms against 2.2-2.5 for every group after
-    # a 13 ms idle gap and 2.0 vs 2.0-2.1 back to back, with 96 columns
-    # 5.7-6.3 vs 5.9-6.3 and 2.9-3.0 vs 2.8-2.9.
-    if not (_Q_RANGE[0] <= qq <= _Q_RANGE[1] and 4 * len(cols) <= index.dim and cut >= 0):
-        return None
     scores = np.zeros(n)
     term = np.empty(n)
-    for col in cols.tolist():
+    for col in np.flatnonzero(q).tolist():
         np.multiply(codes[col], q[col], out=term)
         scores += term
-    margin = float(np.abs(q).sum()) * (1.0 + 254 * (2 * index.dim + 4) * _U)
+    margin = float(np.abs(q).sum()) * (1.0 + 254 * (3 * index.dim + 4) * _U)
+    cut = max(n - k, 0)  # the k-th best screen score; the lowest when k > n
     rows = np.flatnonzero(scores >= np.partition(scores, cut)[cut] - margin)
-    groups = np.flatnonzero(np.bincount(rows >> 2, minlength=(n + 3) // 4))
-    # Speed only, same set-up: with a tie group spread over 1,177 groups
-    # (n/17) the screened search took 4.2 ms against 6.6 for every group
-    # after a gap, over 2,000 (n/10) 7.4 against 6.9.
-    return None if 16 * len(groups) > n else groups
+    return np.flatnonzero(np.bincount(rows >> 2, minlength=(n + 3) // 4))
 
 
 def search(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[str, float]]:
@@ -499,9 +482,9 @@ def search(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[str, flo
 
     Scores are bit for bit those of the one-thread dense ``matrix @ q``,
     whatever the process's BLAS thread count: every row scored comes from
-    one gemv call of at most 7 rows. An index of at least _SCREEN_MIN_ROWS
-    rows is screened on an int8 grid copy, built on its first search, and
-    only the candidates' 4-row groups are scored (module docstring). A
+    one gemv call of at most 7 rows. An index of 8 rows or more is
+    screened on an int8 grid copy, built on its first search, and only
+    the candidates' 4-row groups are scored (module docstring). A
     query whose |q|^2 is not finite raises ValueError; with |q|^2 finite,
     no partial sum of a unit row's products exceeds |q| in magnitude.
     """

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 from .config import PipelineConfig
-from .errors import GenerationAbortedError
 from .retrieval import VectorIndex
 from .segmenter import CLOSERS, TERMINATORS
 from .types import AudioSegment, Sentence, Transcript, UtteranceRecord, word_count
@@ -169,10 +168,7 @@ class SimulatedLlm:
         due = cfg.llm_ttft_s * clock.jitter(cfg.jitter_frac)
         for token in tokens:
             clock.sleep_until(start + due)
-            try:
-                sink(TokenEvent(token))
-            except Exception as exc:
-                raise GenerationAbortedError(f"sink rejected token event: {exc}") from exc
+            sink(TokenEvent(token))
             due += interval * clock.jitter(cfg.jitter_frac)
         # The trailing wait models the end-of-sequence step, so the call
         # lasts ttft plus one interval per token; an empty response still
@@ -272,7 +268,8 @@ class LlmStage(Protocol):
     """Generation adapter interface. ``response`` is the text to stream;
     a real adapter is free to ignore it and generate from the prompt.
     ``generate`` calls ``sink`` once per token and returns when the
-    stream ends; the caller stamps every instant."""
+    stream ends, letting whatever ``sink`` raises propagate unchanged;
+    the caller stamps every instant."""
 
     def generate(self, prompt: str, response: str,
                  sink: Callable[[TokenEvent], None]) -> None: ...

@@ -129,13 +129,14 @@ def full_sort_topk(index: VectorIndex, query: np.ndarray,
 
 def search_cases():
     """Seeded (index, query) pairs for comparing ``search`` across
-    processes: indexes of 5 to 4,096 rows at dim 256, below and above the
-    screening size, with and without a partial last 4-row group, each
-    with ten count, signed and dense (every column) queries."""
+    processes: indexes of 5 to 4,096 rows at dim 256, one scored whole
+    (below 8 rows) and the rest screened, small and large, with and
+    without a partial last 4-row group, each with ten count, signed and
+    dense (every column) queries."""
     rng = random.Random(3)
     nprng = np.random.default_rng(3)
     vocab = [f"w{i}" for i in range(3000)]
-    for n in (5, 1000, 2001, 2003, 4096):
+    for n in (5, 8, 9, 11, 1000, 2001, 2003, 4096):
         docs = [Document(f"d{i:05d}", " ".join(rng.choices(vocab, k=40))) for i in range(n)]
         index = VectorIndex.from_documents(docs, 256)
         for _ in range(10):

@@ -353,7 +353,7 @@ class TestFailurePaths:
             "asr": "asr: decoder missing", "rag": "rag: index offline",
             "warmup": "tts: no synth voice available",
             "tts": "tts: synth backend crashed",
-            "llm": "llm: sink rejected token event: decoder fault at token 40"}[way])
+            "llm": "llm: decoder fault at token 40"}[way])
         if way != "tts":  # a dead synthesizer also aborts the producer
             assert ";" not in result.error
         assert result.prompt == (prompt if retrieval_done else "")

@@ -28,7 +28,6 @@ from voxbench.retrieval import (
     CACHE_MAGIC,
     Document,
     VectorIndex,
-    _SCREEN_MIN_ROWS,
     _token_bucket,
     build_index,
     build_prompt,
@@ -46,6 +45,10 @@ from .support import brute_force_topk, full_sort_topk, reference_cache_bytes, se
 # little-endian mod dim, computed outside the package code.
 FROZEN_BUCKETS_64 = {"alpha": 19, "bravo": 28, "signal": 32, "café": 23}
 FROZEN_BUCKETS_256 = {"alpha": 83, "bravo": 92, "signal": 32, "café": 87}
+
+# Index size of the hand-built screening cases below: many rows around
+# the few that matter.
+LARGE_ROWS = 1024
 
 
 def oracle_embed(text, dim):
@@ -547,12 +550,13 @@ class TestSearch:
     def test_hypothesis_equals_a_full_sort(self, groups, tail, distinct, foreign, seed, data):
         """Few distinct texts over many docs make every score a large tie
         group, so the k-th boundary usually cuts through one; many make
-        small groups, so a large index takes the screened path. Foreign
-        rows (signed unit vectors) are not count vectors, and the query
-        may be a count vector or a signed vector.
+        small groups, so the screen keeps few candidates. Foreign rows
+        (signed unit vectors) are not count vectors, and the query may be
+        a count vector, a signed vector or a dense one (every column).
         The index has 4 * groups + tail rows, so the BLAS tail kernel's
         rows are covered for every tail length. About half the examples
-        have 1 to 47 rows; an index of fewer than 8 is one gemv call."""
+        have 1 to 47 rows; an index of fewer than 8 is one gemv call, and
+        every larger one is screened."""
         dim = 32
         n = 4 * groups + tail
         assume(n > 0)
@@ -568,18 +572,39 @@ class TestSearch:
             vec = nprng.standard_normal(dim)
             matrix[row] = vec / np.linalg.norm(vec)
         index = VectorIndex(ids, matrix, docs)
-        kind = data.draw(st.sampled_from(["text", "words", "signed"]))
+        kind = data.draw(st.sampled_from(["text", "words", "signed", "dense"]))
         if kind == "text":
             query = embed(data.draw(st.sampled_from(texts)), dim)
         elif kind == "words":
             query = embed(" ".join(data.draw(st.lists(st.sampled_from(vocab), max_size=8))), dim)
         else:
             query = nprng.standard_normal(dim)
-            query[nprng.random(dim) < data.draw(st.sampled_from([0.5, 0.85]))] = 0.0
+            if kind == "signed":
+                query[nprng.random(dim) < data.draw(st.sampled_from([0.5, 0.85]))] = 0.0
         k = data.draw(st.integers(1, n + 1))
         got = search(index, query, k)
         assert exact(got) == exact(full_sort_topk(index, query, k))
         assert all(type(score) is float for _, score in got)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_screened_from_eight_rows(self, n):
+        """Below 8 rows one gemv call scores the whole matrix, so there is
+        no grid copy; from 8 rows on every search is screened. Either way
+        search equals the full sort bit for bit, for count, signed and
+        dense queries at every k."""
+        rng = random.Random(n)
+        nprng = np.random.default_rng(n)
+        vocab = [f"term{i}" for i in range(20)]
+        docs = [Document(f"doc{i}", " ".join(rng.choices(vocab, k=6))) for i in range(n)]
+        index = VectorIndex.from_documents(docs, 32)
+        assert (index._screen is None) == (n < 8)
+        for _ in range(10):
+            count = embed(" ".join(rng.choices(vocab, k=4)), 32)
+            signed = np.where(count > 0, nprng.standard_normal(32), 0.0)
+            for query in (count, signed, nprng.standard_normal(32)):
+                for k in range(1, n + 2):
+                    got = search(index, query, k)
+                    assert exact(got) == exact(full_sort_topk(index, query, k))
 
     def test_blas_breaks_a_mathematical_tie(self):
         """Two documents whose scores are equal as real numbers (count dot
@@ -589,7 +614,7 @@ class TestSearch:
         the screen's."""
         winner, loser = "w0 w0 w0 w2 w2 w3", "w0 w0 w1 w2 w2 w2"
         query = embed("w0 w1 w2 w2 w3 w3", 32)
-        docs = [Document(f"filler-{i:04d}", "f0") for i in range(_SCREEN_MIN_ROWS)]
+        docs = [Document(f"filler-{i:04d}", "f0") for i in range(LARGE_ROWS)]
         docs[100], docs[105] = Document("tie-b", winner), Document("tie-a", loser)
         index = VectorIndex.from_documents(docs, 32)
         scores = dict(full_sort_topk(index, query, 2))
@@ -606,7 +631,7 @@ class TestSearch:
         the matmul scores with its tail kernel."""
         rng = np.random.default_rng(tail)
         words = random.Random(tail).choices([f"term{i}" for i in range(100)], k=60)
-        n = _SCREEN_MIN_ROWS + tail
+        n = LARGE_ROWS + tail
         docs = [Document(f"filler-{i:04d}", "f0") for i in range(n - tail)]
         docs += [Document(f"top-{i}", " ".join(words[i:])) for i in range(tail)]
         index = VectorIndex.from_documents(docs, 256)
@@ -629,7 +654,7 @@ class TestSearch:
         rng = random.Random(5)
         vocab = [f"term{i}" for i in range(40)]
         docs = [Document(f"doc{i:04d}", " ".join(rng.choices(vocab, k=rng.randint(1, 12))))
-                for i in range(_SCREEN_MIN_ROWS + 3)]
+                for i in range(LARGE_ROWS + 3)]
         docs[7] = Document(docs[7].doc_id, "term1 " * 300 + "term2")
         docs[8] = Document(docs[8].doc_id, "term1 term1 term2 term2 term2")
         matrix = VectorIndex.from_documents(docs, 32)._matrix.copy()
@@ -661,7 +686,7 @@ class TestSearch:
         dim, q_cols, fill = 32, [3, 9, 14, 27], 30
         query = np.zeros(dim)
         query[q_cols] = 0.5  # |q|_1 = 2, |q| = 1
-        ids = [f"filler-{i:04d}" for i in range(_SCREEN_MIN_ROWS + 2)]
+        ids = [f"filler-{i:04d}" for i in range(LARGE_ROWS + 2)]
         rows = np.zeros((len(ids), dim))
         rows[:, fill + 1] = 1.0  # fillers score 0 in both
         for row, doc_id, points, offset in ((1, "a", [20, 20, 20, 20], -1 / 16),
