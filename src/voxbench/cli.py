@@ -82,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--docs-dir", required=True, help="directory of *.txt documents")
     synth.add_argument("--seed", type=int, default=42)
     synth.add_argument("--out", required=True, help="manifest path to write")
+    synth.set_defaults(handler=_cmd_dataset_synth)
 
     index = top.add_parser("index", help="vector index tools")
     index_sub = index.add_subparsers(dest="command", required=True)
@@ -89,10 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--docs-dir", required=True)
     build.add_argument("--cache", required=True, help="index cache path to write")
     build.add_argument("--dim", type=_positive(int), default=256)
+    build.set_defaults(handler=_cmd_index_build)
     query = index_sub.add_parser("query", help="search an index cache")
     query.add_argument("--cache", required=True)
     query.add_argument("--query", required=True, help="query text")
     query.add_argument("--k", type=_positive(int), default=3)
+    query.set_defaults(handler=_cmd_index_query)
 
     bench = top.add_parser("bench", help="benchmark tools")
     bench_sub = bench.add_subparsers(dest="command", required=True)
@@ -105,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="corpus to index when the cache is absent; the cache "
                           "path, when also given, is then written")
     run.add_argument("--out-dir", required=True, help="report directory")
+    run.set_defaults(handler=_cmd_bench_run)
     return parser
 
 
@@ -204,14 +208,6 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    ("dataset", "synth"): _cmd_dataset_synth,
-    ("index", "build"): _cmd_index_build,
-    ("index", "query"): _cmd_index_query,
-    ("bench", "run"): _cmd_bench_run,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -220,9 +216,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 0 for --help and 2 for usage mistakes; fold the
         # latter into the usage/config exit code.
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    handler = _DISPATCH[(args.group, args.command)]
     try:
-        return handler(args)
+        return args.handler(args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,9 +1,10 @@
 """End-to-end pipeline orchestration for one utterance or a dataset.
 
-``run_utterance`` and ``run_dataset`` both run each utterance through one
-straight-line coordinator. Each phase runs only if no earlier one failed,
-the run's state lives in its locals, and one result is built at the end on
-every path. Schedule for one utterance:
+``run_dataset`` runs each utterance through one straight-line
+coordinator; ``run_utterance`` is ``run_dataset`` of one record. Each
+phase runs only if no earlier one failed, the run's state lives in its
+locals, and one result is built at the end on every path. Schedule for
+one utterance:
 
 1. Transcribe the full utterance up front (serial).
 2. Embed the transcript, search the index, assemble the prompt. The
@@ -21,19 +22,20 @@ every path. Schedule for one utterance:
    signal.
 6. Assemble the result. A failed run keeps the ASR and retrieval times
    it reached, the time to the failure and its sentence count; every
-   other timing column is NaN.
+   other timing column is NaN. Stage output that cannot fill a report
+   row fails its stage: an ASR time not > 0, a synthesis time not >= 0
+   or a reply that streams no sentence.
 
 The job is handed over before generation, so the first sentence is
 synthesized the moment it is emitted and synthesis of sentence i overlaps
 generation of sentences i+1 and later.
 
-One synthesis worker serves every utterance of a ``run_dataset`` call
-(``run_utterance`` starts its own), so no thread start sits between the
-end of retrieval and warmup. The worker is a daemon thread that takes one
-job at a time from its queue and exits when the call returns. It is
-replaced only when its thread has died or when a job is still running at
-its deadline: that stuck thread is left behind, and the next utterance
-gets a fresh one.
+One synthesis worker serves every utterance of a ``run_dataset`` call,
+so no thread start sits between the end of retrieval and warmup. The
+worker is a daemon thread that takes one job at a time from its queue
+and exits when the call returns. It is replaced only when its thread has
+died or when a job is still running at its deadline: that stuck thread
+is left behind, and the next utterance gets a fresh one.
 
 One real-time deadline, ``_JOIN_GRACE_S`` after retrieval ends, bounds
 every wait: the warmup, each ``put`` and ``get`` on the channel, and the
@@ -140,14 +142,10 @@ def _serve(jobs: queue.SimpleQueue[Callable[[], None] | None]) -> None:
 
 def run_utterance(utterance: UtteranceRecord, config: PipelineConfig,
                   index: VectorIndex, stages: StageSet) -> UtteranceResult:
-    """Run the full pipeline for one utterance; never raises for stage
-    failures, which instead mark the result as failed."""
-    config.ensure_valid()
-    worker = _SynthesisWorker()
-    try:
-        return _run(utterance, config, index, stages, worker)
-    finally:
-        worker.stop()
+    """Run the full pipeline for one utterance, as ``run_dataset`` of one
+    record; never raises for stage failures, which instead mark the
+    result as failed."""
+    return run_dataset([utterance], config, index, lambda _c, _s: stages)[0][0]
 
 
 def _run(utterance: UtteranceRecord, config: PipelineConfig, index: VectorIndex,
@@ -171,13 +169,14 @@ def _run(utterance: UtteranceRecord, config: PipelineConfig, index: VectorIndex,
     segments: list[AudioSegment] = []
     prompt = response = ""
     retrieved: Sequence[tuple[str, float]] = ()
-    asr_s = rag_s = llm_s = ttft_s = math.nan
+    asr_s = asr_wps = rag_s = llm_s = ttft_s = math.nan
     warmup_completed_at_s = epoch = llm_epoch_at_s = math.nan
     token_count = eos_sent = consumer_saw_eos = 0
 
     # 1. Upfront transcription, serial.
     try:
         transcript = stages.asr.transcribe(utterance)
+        asr_wps = metrics.words_per_sec(transcript.word_count, transcript.asr_elapsed_s)
         asr_s = transcript.asr_elapsed_s
     except Exception as exc:
         failures.append(("asr", str(exc)))
@@ -226,6 +225,9 @@ def _run(utterance: UtteranceRecord, config: PipelineConfig, index: VectorIndex,
                     return
                 if not failed.is_set():  # after a failure, only drain
                     segment = stages.tts.synthesize(frame_to_sentence(frame))
+                    if not segment.synth_elapsed_s >= 0.0:
+                        raise ValueError("synth_elapsed_s must be >= 0, "
+                                         f"got {segment.synth_elapsed_s}")
                     segments.append(replace(segment, completed_at_s=clock.now() - epoch))
             except Exception as exc:
                 fail("tts", str(exc))
@@ -276,6 +278,8 @@ def _run(utterance: UtteranceRecord, config: PipelineConfig, index: VectorIndex,
                 tail = segmenter.flush(llm_s)
                 if tail is not None:
                     ship(tail)
+                if not sentences:
+                    raise ValueError("streamed no sentence")
             except Exception as exc:
                 fail("llm", str(exc))
 
@@ -296,17 +300,15 @@ def _run(utterance: UtteranceRecord, config: PipelineConfig, index: VectorIndex,
     # finished (ASR, retrieval), the time to the failure and the sentences
     # emitted; every other column is NaN.
     total_s = clock.now() - run_start
-    tts_s = ttfa_s = asr_wps = tok_rate = asr_rtf = cosine = math.nan
+    tts_s = ttfa_s = tok_rate = asr_rtf = cosine = math.nan
     if failures:
-        llm_s = ttft_s = math.nan
+        llm_s = ttft_s = asr_wps = math.nan
     else:
-        if segments:
-            ttfa_s = segments[0].completed_at_s
-            total_s = llm_epoch_at_s + max(s.completed_at_s for s in segments)
+        ttfa_s = segments[0].completed_at_s
+        total_s = llm_epoch_at_s + max(s.completed_at_s for s in segments)
         tts_s = math.fsum(s.synth_elapsed_s for s in segments)
         decode_s = llm_s - ttft_s
         tok_rate = token_count / decode_s if decode_s > 0 else 0.0
-        asr_wps = metrics.words_per_sec(transcript.word_count, asr_s)
         asr_rtf = metrics.rtf(asr_s, utterance.audio_duration_s)
         cosine = metrics.cosine(query_vec, embed(response, index.dim))
     timings = StageTimings(

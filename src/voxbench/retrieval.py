@@ -30,13 +30,13 @@ more is searched in two stages, on a copy its first search builds (an
 index that is only built and saved never pays for it): the matrix on a
 fixed grid, ``c = rint(127 r)``, column-major as int8.
 
-1. Screen: score every row as ``s = c . q`` in float64, reading only
-   the query's nonzero columns, at most d of them (d = dim, u = 2**-53,
-   |q|_1 = sum |q_j|). ``127 r_j`` rounds once, rint moves it at most
-   1/2 and a unit row has |r_j| <= 1 + _NORM_TOL, so the grid puts s / 127
-   within |q|_1 (1/254 + 1.01 u) of the real dot product; to first order
-   the screen's sum (|c_j| <= 127) adds d u |q|_1 and the matmul's, in
-   any order, d u |q|_1. So s / 127 is within
+1. Screen: score every row as ``s = c . q`` in float64 with one einsum
+   call over the query's nonzero columns, at most d of them (d = dim,
+   u = 2**-53, |q|_1 = sum |q_j|). ``127 r_j`` rounds once, rint moves
+   it at most 1/2 and a unit row has |r_j| <= 1 + _NORM_TOL, so the grid
+   puts s / 127 within |q|_1 (1/254 + 1.01 u) of the real dot product;
+   to first order each sum, in any order, adds d u |q|_1: the screen's
+   (|c_j| <= 127) and the matmul's. So s / 127 is within
    ``B = |q|_1 (1/254 + (3 d + 4) u)`` of the matmul score p, and the
    slack of (d + 2) u |q|_1 covers the second-order terms and the
    roundings of |q|_1, the margin and the cut (below (d/127 + 2) u
@@ -45,9 +45,10 @@ fixed grid, ``c = rint(127 r)``, column-major as int8.
    Any other row x has s_x < s_y - 254 B for k rows y, so
    p_x < s_x / 127 + B < s_y / 127 - B < p_y: k rows score strictly
    higher in the matmul.
-2. Rescore: score the candidates' groups. The final ranking comes from
-   these scores, never from the screen: a tie between two real numbers
-   is often broken by an ulp of the matmul.
+2. Rescore: score the candidates' groups and the rows of the last gemv
+   call, candidates or not. The final ranking comes from these scores,
+   never from the screen: a tie between two real numbers is often
+   broken by an ulp of the matmul.
 
 Every group is scored instead when the index has fewer than 8 rows or
 |q|^2 is outside _Q_RANGE.
@@ -180,12 +181,13 @@ def _grid_copy(matrix: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _rescore(matrix: np.ndarray, groups: np.ndarray | None,
+def _rescore(matrix: np.ndarray, groups: np.ndarray,
              q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Score the rows of the sorted 4-row ``groups`` of ``matrix`` (None:
-    every group) with one gemv per group, a partial last group at the end
-    of a call that starts with the group before it. Returns the rows and
-    their scores.
+    """Score the rows of the sorted 4-row ``groups`` of ``matrix``, and
+    the last gemv call's rows whatever ``groups`` holds (an exact score
+    cannot bring a row outside the top k into it), with one gemv per
+    group, a partial last group at the end of a call that starts with
+    the group before it. Returns the rows and their scores.
 
     gemv scores rows four at a time from the start of its call and the
     rest with a tail kernel that rounds differently, so this gives each
@@ -198,17 +200,13 @@ def _rescore(matrix: np.ndarray, groups: np.ndarray | None,
     # The last call runs from this group to the end; below 8 rows the
     # whole matrix is one call.
     last = max(n // 4 - (n % 4 > 0), 0)
-    if groups is None:
-        groups = np.arange((n + 3) // 4)
     head = groups[groups < last]
     rows = (4 * head[:, np.newaxis] + np.arange(4)).ravel()
     # Every group before the last call: the matrix itself, not a copy.
     blocks = matrix[:4 * last] if len(head) == last else matrix[rows]
     scores = (blocks.reshape(-1, 4, dim) @ q).ravel()
-    if len(head) < len(groups):
-        rows = np.concatenate([rows, np.arange(4 * last, n)])
-        scores = np.concatenate([scores, matrix[4 * last:] @ q])
-    return rows, scores
+    return (np.concatenate([rows, np.arange(4 * last, n)]),
+            np.concatenate([scores, matrix[4 * last:] @ q]))
 
 
 class VectorIndex:
@@ -456,21 +454,19 @@ def _top_k(ids: list[str], rows: np.ndarray, scores: np.ndarray,
     return ranked[:k]
 
 
-def _candidates(index: VectorIndex, q: np.ndarray, qq: float, k: int) -> np.ndarray | None:
+def _candidates(index: VectorIndex, q: np.ndarray, qq: float, k: int) -> np.ndarray:
     """The sorted 4-row groups that hold every row the screen (module
     docstring) cannot rule out of the top k for the finite query ``q``
-    with ``qq = q @ q``; None, for every group, where the index has no
-    grid copy or |q|^2 is outside _Q_RANGE, so the margin cannot bound
-    the screen."""
+    with ``qq = q @ q``; every group where the index has no grid copy or
+    |q|^2 is outside _Q_RANGE, so the margin cannot bound the screen.
+    The screen is one einsum over the grid copy's rows for the query's
+    nonzero columns."""
+    n = len(index)
     codes = index._screen
     if codes is None or not _Q_RANGE[0] <= qq <= _Q_RANGE[1]:
-        return None
-    n = len(index)
-    scores = np.zeros(n)
-    term = np.empty(n)
-    for col in np.flatnonzero(q).tolist():
-        np.multiply(codes[col], q[col], out=term)
-        scores += term
+        return np.arange((n + 3) // 4)
+    cols = np.flatnonzero(q)
+    scores = np.einsum("j,jn->n", q[cols], codes[cols])
     margin = float(np.abs(q).sum()) * (1.0 + 254 * (3 * index.dim + 4) * _U)
     cut = max(n - k, 0)  # the k-th best screen score; the lowest when k > n
     rows = np.flatnonzero(scores >= np.partition(scores, cut)[cut] - margin)
@@ -484,9 +480,10 @@ def search(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[str, flo
     whatever the process's BLAS thread count: every row scored comes from
     one gemv call of at most 7 rows. An index of 8 rows or more is
     screened on an int8 grid copy, built on its first search, and only
-    the candidates' 4-row groups are scored (module docstring). A
-    query whose |q|^2 is not finite raises ValueError; with |q|^2 finite,
-    no partial sum of a unit row's products exceeds |q| in magnitude.
+    the candidates' 4-row groups and the last call's rows are scored
+    (module docstring); an index of 0 rows gives []. A query whose |q|^2
+    is not finite raises ValueError; with |q|^2 finite, no partial sum of
+    a unit row's products exceeds |q| in magnitude.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -497,8 +494,6 @@ def search(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[str, flo
         qq = float(q @ q)
     if not math.isfinite(qq):
         raise ValueError(f"query is not finite: |q|^2 = {qq}")
-    if len(index) == 0:
-        return []
     rows, scores = _rescore(index._matrix, _candidates(index, q, qq, k), q)
     return _top_k(index._ids, rows, scores, k)
 

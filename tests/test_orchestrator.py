@@ -266,6 +266,38 @@ def _offline_search(index, query, k):
     raise RuntimeError("index offline")
 
 
+class _SilentLlm:
+    """Streams one empty token and no text."""
+
+    def generate(self, prompt, response, sink):
+        sink(TokenEvent(""))
+
+
+class _TimedAsr:
+    """Transcribes as ``inner`` does but reports ``elapsed_s``."""
+
+    def __init__(self, inner, elapsed_s):
+        self.inner = inner
+        self.elapsed_s = elapsed_s
+
+    def transcribe(self, utterance):
+        return replace(self.inner.transcribe(utterance), asr_elapsed_s=self.elapsed_s)
+
+
+class _TimedTts:
+    """Synthesizes as ``inner`` does but reports ``elapsed_s``."""
+
+    def __init__(self, inner, elapsed_s):
+        self.inner = inner
+        self.elapsed_s = elapsed_s
+
+    def warmup(self):
+        self.inner.warmup()
+
+    def synthesize(self, sentence):
+        return replace(self.inner.synthesize(sentence), synth_elapsed_s=self.elapsed_s)
+
+
 class TestFailurePaths:
     def broken_stages(self, config, **kwargs):
         stages = build_simulated_stages(config, seed=3)
@@ -385,6 +417,31 @@ class TestFailurePaths:
             columns - reached
         assert all(getattr(timings, c) > 0 for c in reached)
         assert timings_violations(timings) == []
+
+    @pytest.mark.parametrize("way", ["llm", "asr-zero", "asr-nan", "tts-nan"])
+    def test_output_that_cannot_fill_a_report_row_fails_the_run(
+            self, way, fast_config, fast_index):
+        base = build_simulated_stages(fast_config, seed=3)
+        asr, llm, tts = base.asr, base.llm, base.tts
+        if way == "llm":
+            llm = _SilentLlm()
+        elif way == "tts-nan":
+            tts = _TimedTts(tts, math.nan)
+        else:
+            asr = _TimedAsr(asr, 0.0 if way == "asr-zero" else math.nan)
+        stages = StageSet(asr=asr, llm=llm, tts=tts, clock=base.clock)
+        results, summary = run_dataset([utterance()], fast_config, fast_index,
+                                       stage_factory=lambda _c, _s: stages)
+        [result] = results
+        assert result.failed
+        assert result.error.startswith({
+            "llm": "llm: streamed no sentence",
+            "asr-zero": "asr: asr_elapsed_s must be > 0, got 0.0",
+            "asr-nan": "asr: asr_elapsed_s must be > 0, got nan",
+            "tts-nan": "tts: synth_elapsed_s must be >= 0, got nan"}[way])
+        assert summary is None
+        assert math.isnan(result.timings.asr_s) == way.startswith("asr")
+        assert timings_violations(result.timings) == []
 
 
 class _GatedTts:

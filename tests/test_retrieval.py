@@ -390,6 +390,15 @@ class TestCacheFile:
         with pytest.raises(CacheFormatError, match="dim 0"):
             load_index(path)
 
+    def test_a_cache_of_zero_entries_loads_and_searches_to_nothing(self, tmp_path):
+        path = tmp_path / "empty.tvix"
+        path.write_bytes(struct.pack("<4sHII", b"TVIX", 1, 16, 0))
+        index = load_index(path)
+        assert (len(index), index.dim) == (0, 16)
+        for query in (embed("signal", 16), np.zeros(16)):
+            for k in (1, 3):
+                assert search(index, query, k) == []
+
     def test_failed_save_leaves_the_old_cache_untouched(self, small_index, tmp_path):
         path = tmp_path / "cache.tvix"
         save_index(small_index, path)
