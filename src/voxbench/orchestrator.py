@@ -37,6 +37,14 @@ and exits when the call returns. It is replaced only when its thread has
 died or when a job is still running at its deadline: that stuck thread
 is left behind, and the next utterance gets a fresh one.
 
+For the length of a ``run_dataset`` call the calling thread runs on one
+CPU, the lowest of its affinity mask; the mask is restored on return.
+The worker starts inside the call and inherits that CPU, so each
+hand-off (job, warmup signal, frames, done signal, the GIL) wakes a
+thread on the same runqueue rather than an idle CPU. Both threads spend
+their time asleep, so generation and synthesis still overlap. Where the
+platform lacks the call or the kernel refuses it, the run is unpinned.
+
 One real-time deadline, ``_JOIN_GRACE_S`` after retrieval ends, bounds
 every wait: the warmup, each ``put`` and ``get`` on the channel, and the
 wait for the job's done signal. No wait wakes up early to check a flag,
@@ -53,6 +61,7 @@ is not bounded.
 from __future__ import annotations
 
 import math
+import os
 import queue
 import random
 import threading
@@ -330,6 +339,17 @@ def _run(utterance: UtteranceRecord, config: PipelineConfig, index: VectorIndex,
 StageFactory = Callable[[PipelineConfig, int], StageSet]
 
 
+def _pin_to_one_cpu() -> set[int] | None:
+    """Restrict the calling thread to the lowest CPU of its mask and return
+    the mask, or None (left unpinned) where the platform lacks the call or
+    the kernel refuses it."""
+    with suppress(AttributeError, OSError):
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})
+        return cpus
+    return None
+
+
 def run_dataset(records: Sequence[UtteranceRecord], config: PipelineConfig,
                 index: VectorIndex,
                 stage_factory: StageFactory = build_simulated_stages,
@@ -337,10 +357,13 @@ def run_dataset(records: Sequence[UtteranceRecord], config: PipelineConfig,
     """Run every record sequentially with fresh stages per utterance and
     one synthesis worker for all of them.
 
-    Per-utterance stage seeds derive deterministically from the config
-    seed, so the same inputs reproduce the same jitter sequence. Failed
-    utterances stay in the result list but are excluded from the summary;
-    with no successes the summary is None.
+    The calling thread and the threads it and its stages start during
+    the call run on one CPU of the caller's mask until the call returns
+    (see the module docstring). Per-utterance stage seeds derive
+    deterministically from the config seed, so the same inputs reproduce
+    the same jitter sequence. Failed utterances stay in the result list
+    but are excluded from the summary; with no successes the summary is
+    None.
     """
     if not records:
         raise ValueError("run_dataset needs at least one utterance")
@@ -348,6 +371,7 @@ def run_dataset(records: Sequence[UtteranceRecord], config: PipelineConfig,
     master = random.Random(config.rng_seed)
     results: list[UtteranceResult] = []
     worker = _SynthesisWorker()
+    caller_cpus = _pin_to_one_cpu()
     try:
         for record in records:
             seed = master.getrandbits(62)
@@ -355,6 +379,8 @@ def run_dataset(records: Sequence[UtteranceRecord], config: PipelineConfig,
             results.append(_run(record, config, index, stages, worker))
     finally:
         worker.stop()
+        if caller_cpus is not None:
+            os.sched_setaffinity(0, caller_cpus)
     ok = [r.timings for r in results if not r.failed]
     summary = metrics.summarize(ok) if ok else None
     return results, summary

@@ -787,3 +787,128 @@ class TestSynthesisWorker:
         assert threads[1] is threads[0]
         assert threads[2] is not threads[0]
         assert threads[3] is threads[2]
+
+
+# Bound once, so a test that removes the call from ``os`` still reads masks.
+_getaffinity = getattr(os, "sched_getaffinity", None)
+_CALLER_CPUS = _getaffinity(0) if _getaffinity else set()
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or not _CALLER_CPUS,
+    reason="no CPU affinity calls on this platform")
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(_CALLER_CPUS) < 2,
+    reason="needs CPU affinity calls and two allowed CPUs")
+
+
+def _mask():
+    return _getaffinity(0) if _getaffinity else None
+
+
+class _MaskTts:
+    """Passes every call to ``inner`` and records the CPU mask it ran with."""
+
+    def __init__(self, inner, masks):
+        self.inner = inner
+        self.masks = masks
+
+    def warmup(self):
+        self.masks.append(("tts", _mask()))
+        self.inner.warmup()
+
+    def synthesize(self, sentence):
+        self.masks.append(("tts", _mask()))
+        return self.inner.synthesize(sentence)
+
+
+class _MaskLlm:
+    """Passes the call to ``inner`` and records the CPU mask it ran with."""
+
+    def __init__(self, inner, masks):
+        self.inner = inner
+        self.masks = masks
+
+    def generate(self, prompt, response, sink):
+        self.masks.append(("llm", _mask()))
+        return self.inner.generate(prompt, response, sink)
+
+
+class TestCpuAffinity:
+    """A ``run_dataset`` call runs its coordinator and synthesis worker on
+    one CPU of the caller's mask and gives the caller its mask back."""
+
+    @pytest.fixture(autouse=True)
+    def unpinned_afterwards(self):
+        """Later tests run with the caller's mask even if one here fails."""
+        yield
+        if _CALLER_CPUS and _mask() != _CALLER_CPUS:
+            os.sched_setaffinity(0, _CALLER_CPUS)
+
+    def run(self, config, index, records, masks):
+        """Run ``records``, appending the (stage, CPU mask) of every stage
+        call to ``masks``."""
+
+        def factory(config, seed):
+            stages = build_simulated_stages(config, seed=seed)
+            return StageSet(asr=stages.asr, llm=_MaskLlm(stages.llm, masks),
+                            tts=_MaskTts(stages.tts, masks), clock=stages.clock)
+
+        return run_dataset(records, config, index, stage_factory=factory)[0]
+
+    @needs_two_cpus
+    def test_every_stage_call_runs_on_one_cpu_of_the_callers_mask(
+            self, fast_config, fast_index):
+        masks = []
+        results = self.run(fast_config, fast_index,
+                           [utterance(i) for i in range(3)], masks)
+        assert [r.failed for r in results] == [False] * 3
+        # Per utterance: warmup and 2 sentences synthesized, 1 generate.
+        assert sorted(stage for stage, _ in masks) == ["llm"] * 3 + ["tts"] * 9
+        assert {frozenset(m) for _, m in masks} == {frozenset({min(_CALLER_CPUS)})}
+        assert _mask() == _CALLER_CPUS
+
+    @needs_two_cpus
+    def test_the_mask_is_restored_when_an_invalid_record_raises(
+            self, fast_config, fast_index):
+        bad = replace(utterance(1), audio_duration_s=-1.0)
+        masks = []
+        with pytest.raises(ValueError, match="invalid utterance 'utt-001'"):
+            self.run(fast_config, fast_index, [utterance(0), bad], masks)
+        assert ("llm", {min(_CALLER_CPUS)}) in masks  # the first one ran pinned
+        assert _mask() == _CALLER_CPUS
+
+    @needs_affinity
+    def test_a_caller_on_one_cpu_stays_on_it(self, fast_config, fast_index):
+        cpu = max(_CALLER_CPUS)
+        os.sched_setaffinity(0, {cpu})
+        try:
+            masks = []
+            [result] = self.run(fast_config, fast_index, [utterance()], masks)
+            after = _mask()
+        finally:
+            os.sched_setaffinity(0, _CALLER_CPUS)
+        assert not result.failed
+        assert {frozenset(m) for _, m in masks} == {frozenset({cpu})}
+        assert after == {cpu}
+
+    @pytest.mark.parametrize("way", [pytest.param("refused", marks=needs_affinity),
+                                     "missing"])
+    def test_a_pin_that_cannot_be_made_leaves_the_run_unpinned(
+            self, way, fast_config, fast_index, monkeypatch):
+        calls = []
+        if way == "refused":
+            def refuse(pid, cpus):
+                calls.append(cpus)
+                raise PermissionError("sched_setaffinity: operation not permitted")
+
+            monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        else:
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        masks = []
+        results = self.run(fast_config, fast_index,
+                           [utterance(i) for i in range(2)], masks)
+        assert [r.failed for r in results] == [False] * 2
+        assert len(calls) == (way == "refused")
+        expected = _CALLER_CPUS or None  # None where masks cannot be read
+        assert [m for _, m in masks] == [expected] * len(masks)
+        assert _mask() == expected
